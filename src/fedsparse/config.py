@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .sparsify import SparsityPolicy
+from .sparsify import MAX_CLIENT_ID, MAX_ROUND, SparsityPolicy
 
 
 class ConfigError(ValueError):
@@ -213,10 +213,14 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     )
     _require(cfg.seed >= 0, "seed", "must be >= 0")
     _require(cfg.clients >= 1, "clients", "must be >= 1")
+    _require(cfg.clients <= MAX_CLIENT_ID, "clients",
+             f"must be <= {MAX_CLIENT_ID} (the FSU1 client id is a u16)")
     _require(cfg.alpha > 0, "alpha", "must be > 0")
     _require(cfg.sparsify_site in ("uploaded_delta", "local_gradient"),
              "sparsify_site", "must be 'uploaded_delta' or 'local_gradient'")
     _require(cfg.rounds >= 1, "rounds", "must be >= 1")
+    _require(cfg.rounds <= MAX_ROUND, "rounds",
+             f"must be <= {MAX_ROUND} (the FSU1 round is a u32)")
     _require(cfg.local_epochs >= 1, "local_epochs", "must be >= 1")
     _require(cfg.learning_rate > 0, "learning_rate", "must be > 0")
     _require(cfg.batch_size >= 1, "batch_size", "must be >= 1")

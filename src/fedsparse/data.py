@@ -2,11 +2,12 @@
 feature normalization, and stratified train/test splitting.
 
 CSV interchange format: UTF-8, comma-separated, no header by default,
-input_dim float feature columns followed by one integer label column.
+input_dim finite float feature columns followed by one integer label column.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -102,6 +103,8 @@ def load_csv(path, input_dim: int, class_count: int, skip_header: bool = False) 
                 label = int(cells[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(x) for x in row):
+                raise ValueError(f"{path}:{lineno}: non-finite feature value")
             if not (0 <= label < class_count):
                 raise ValueError(
                     f"{path}:{lineno}: label {label} outside [0, {class_count})"

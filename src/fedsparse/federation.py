@@ -146,8 +146,8 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     step's delta is exactly -lr * gradient. The delta is sparsified with
     cfg.policy at the end.
 
-    local_gradient: each batch gradient is sparsified first and the
-    sparsified gradient is applied; the dense local model is uploaded.
+    local_gradient: each batch gradient is sparsified first and only the
+    retained coordinates are stepped; the dense local model is uploaded.
     """
     idx = client.partition.sample_indices
     if idx.shape[0] == 0:
@@ -162,12 +162,13 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
             grad = model_ops.backward(model_spec, w, inputs[batch], labels[batch])
             if cfg.sparsify_site == "local_gradient":
                 seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
-                step = cfg.learning_rate * densify(sparsify(grad, cfg.policy, seed))
-                w = w - step
+                u = sparsify(grad, cfg.policy, seed)
+                # unretained coordinates would get w - 0.0, the same bits as w
+                w[u.indices] -= cfg.learning_rate * u.values
             else:
-                step = cfg.learning_rate * grad
-                w = w - step
-                delta -= step
+                grad *= cfg.learning_rate
+                w -= grad
+                delta -= grad
             if not np.isfinite(w).all():
                 raise TrainingDiverged(
                     f"client {client.client_id}: non-finite parameters in round "
@@ -240,13 +241,15 @@ def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
             raise ValueError(f"client {u.client_id} has sample_count {u.sample_count}")
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = sum(u.sample_count for u in ordered)
-    models = [reconstruct_params(u, prev) for u in ordered]
-    if all(np.array_equal(m, models[0]) for m in models[1:]):
-        return models[0].copy()
+    # one reconstructed model alive at a time, not one per client
+    first = reconstruct_params(ordered[0], prev)
+    identical = True
     acc = np.zeros_like(prev)
-    for u, m in zip(ordered, models):
+    for u in ordered:
+        m = first if u is ordered[0] else reconstruct_params(u, prev)
+        identical = identical and np.array_equal(m, first)
         acc += (u.sample_count / total) * m
-    return acc
+    return first.copy() if identical else acc
 
 
 def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,

@@ -110,9 +110,9 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _forward_cached(spec, params, inputs):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    layers = unpack_params(spec, params)
+def _forward_cached(spec, layers, inputs):
+    """Forward pass over unpacked layers, keeping pre-activations and
+    activations for backprop."""
     acts = [inputs]
     zs = []
     a = inputs
@@ -127,7 +127,7 @@ def _forward_cached(spec, params, inputs):
 def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Logits matrix, shape (batch, class_count). Purely functional."""
     inputs = _check_inputs(spec, inputs)
-    acts, _ = _forward_cached(spec, params, inputs)
+    acts, _ = _forward_cached(spec, unpack_params(spec, params), inputs)
     return acts[-1]
 
 
@@ -175,7 +175,8 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     if inputs.shape[0] == 0:
         raise ValueError("backward over an empty batch")
     labels = _check_labels(labels, spec.class_count, inputs.shape[0])
-    acts, zs = _forward_cached(spec, params, inputs)
+    layers = unpack_params(spec, params)
+    acts, zs = _forward_cached(spec, layers, inputs)
     n = inputs.shape[0]
 
     logits = acts[-1]
@@ -186,7 +187,6 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    layers = unpack_params(spec, params)
     grad_chunks: list[np.ndarray] = []
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]

@@ -6,8 +6,12 @@ Three ways to shrink a dense update vector before upload:
 * threshold  -- keep every coordinate with |v| >= tau (may keep none)
 * random     -- keep a uniformly chosen subset of max(1, ceil(K*d)) coordinates
 
-plus a pass-through "dense" policy. Retained-count ties in top_k break
-toward the lower index so results are reproducible.
+plus a pass-through "dense" policy. top_k selects without sorting:
+np.partition finds the m-th largest magnitude, every entry strictly
+above it is kept, and entries equal to it fill the remaining slots in
+ascending index order. The retained set is therefore exactly the first
+m positions of a stable magnitude-descending sort, so results are
+reproducible.
 
 The binary wire format ("FSU1") is the byte-accounting contract: header of
 27 bytes (magic, version, dim, entry count, round, client id, all
@@ -28,6 +32,8 @@ MAGIC = b"FSU1"
 WIRE_VERSION = 1
 HEADER_BYTES = 27  # 4 magic + 1 version + 8 dim + 8 count + 4 round + 2 client_id
 BYTES_PER_ENTRY = 8  # 4-byte index + 4-byte float32 value
+MAX_ROUND = 2 ** 32 - 1  # u32 round field
+MAX_CLIENT_ID = 2 ** 16 - 1  # u16 client id field
 
 _HEADER = struct.Struct("<4sBQQIH")
 
@@ -132,13 +138,26 @@ def retained_count(rate: float, dim: int) -> int:
 
 
 def top_k_sparsify(v, rate: float, *, round: int = 0, client_id: int = 0) -> SparseUpdate:
-    """Keep the retained_count(rate, d) entries of largest |v|."""
+    """Keep the m = retained_count(rate, d) entries of largest |v|.
+
+    The m-th largest magnitude `kth` comes from a partition, O(d) rather
+    than a full sort. Every entry with |v| > kth is kept, then the
+    lowest-index entries with |v| == kth until there are m: the same set
+    as the first m positions of a stable sort on -|v|.
+    """
     v = _check_vector(v)
-    m = retained_count(rate, v.shape[0])
-    # stable sort on -|v|: magnitude ties keep ascending-index order
-    order = np.argsort(-np.abs(v), kind="stable")
-    keep = np.sort(order[:m])
-    return SparseUpdate(v.shape[0], keep, v[keep], round=round, client_id=client_id)
+    d = v.shape[0]
+    m = retained_count(rate, d)
+    if m == d:
+        keep = np.arange(d)
+    else:
+        mag = np.abs(v)
+        kth = np.partition(mag, d - m)[d - m]
+        mask = mag > kth
+        ties = np.flatnonzero(mag == kth)
+        mask[ties[:m - np.count_nonzero(mask)]] = True
+        keep = np.flatnonzero(mask)
+    return SparseUpdate(d, keep, v[keep], round=round, client_id=client_id)
 
 
 def threshold_sparsify(v, tau: float, *, round: int = 0, client_id: int = 0) -> SparseUpdate:
@@ -198,9 +217,9 @@ def encode(u: SparseUpdate) -> bytes:
         raise ValueError("dim does not fit the 8-byte wire field")
     if m and int(u.indices.max()) >= 2 ** 32:
         raise ValueError("index does not fit the 4-byte wire field")
-    if not (0 <= u.round < 2 ** 32):
+    if not (0 <= u.round <= MAX_ROUND):
         raise ValueError("round does not fit the 4-byte wire field")
-    if not (0 <= u.client_id < 2 ** 16):
+    if not (0 <= u.client_id <= MAX_CLIENT_ID):
         raise ValueError("client_id does not fit the 2-byte wire field")
     header = _HEADER.pack(MAGIC, WIRE_VERSION, u.dim, m, u.round, u.client_id)
     return (header

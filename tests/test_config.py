@@ -64,6 +64,15 @@ class TestDiagnostics:
             with pytest.raises(ConfigError, match=pattern):
                 parse_config_dict(dict(MINIMAL, **override))
 
+    def test_wire_limits_checked_at_config_time(self):
+        # FSU1 carries the client id as a u16 and the round as a u32
+        assert parse_config_dict(dict(MINIMAL, clients=65535)).clients == 65535
+        assert parse_config_dict(dict(MINIMAL, rounds=2 ** 32 - 1)).rounds == 2 ** 32 - 1
+        with pytest.raises(ConfigError, match=r"^clients: must be <= 65535"):
+            parse_config_dict(dict(MINIMAL, clients=65536))
+        with pytest.raises(ConfigError, match=r"^rounds: must be <= 4294967295"):
+            parse_config_dict(dict(MINIMAL, rounds=2 ** 32))
+
     def test_wrong_types_rejected(self):
         with pytest.raises(ConfigError, match="seed: must be an integer"):
             parse_config_dict(dict(MINIMAL, seed="banana"))

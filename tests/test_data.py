@@ -86,6 +86,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="expected 3 columns"):
             load_csv(path, 2, 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0,0\n1.0,{cell},1\n")
+        with pytest.raises(ValueError, match=r"nonfinite\.csv:2: non-finite feature"):
+            load_csv(path, 2, 2)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "label.csv"
         path.write_text("1.0,2.0,5\n")

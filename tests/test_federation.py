@@ -368,3 +368,21 @@ class TestRunExperiment:
                 w = w - config.learning_rate * backward(spec, w, train.inputs[b],
                                                         train.labels[b])
         assert np.array_equal(result.final_params, w)
+
+    @pytest.mark.parametrize("site,policy", [
+        ("local_gradient", {"kind": "dense"}),
+        ("uploaded_delta", {"kind": "top_k", "rate": 1.0}),
+        ("local_gradient", {"kind": "top_k", "rate": 1.0}),
+        ("uploaded_delta", {"kind": "threshold", "tau": 0.0}),
+        ("local_gradient", {"kind": "threshold", "tau": 0.0}),
+    ])
+    def test_lossless_policies_equal_dense_uploaded_delta(self, site, policy):
+        """Every policy that keeps all coordinates, at either site, trains
+        the same model bit for bit as dense uploaded_delta."""
+        common = {"seed": 3, "rounds": 5, "local_epochs": 5}
+        dense = run_experiment(self.base_config(policy={"kind": "dense"}, **common))
+        other = run_experiment(self.base_config(sparsify_site=site, policy=policy,
+                                                **common))
+        assert np.array_equal(other.final_params, dense.final_params)
+        assert ([m.csv_row() for m in other.history]
+                == [m.csv_row() for m in dense.history])

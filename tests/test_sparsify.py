@@ -18,8 +18,19 @@ def sort_oracle_indices(v, m):
     return sorted(order[:m])
 
 
+def lexsort_oracle_indices(v, m):
+    """Vectorised form of sort_oracle_indices for large d."""
+    return np.sort(np.lexsort((np.arange(len(v)), -np.abs(v)))[:m])
+
+
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
+    min_size=1, max_size=64,
+).map(np.array)
+
+# Few distinct magnitudes, so most cuts fall inside a block of ties.
+tie_heavy_vectors = st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, np.inf, -np.inf]),
     min_size=1, max_size=64,
 ).map(np.array)
 
@@ -81,6 +92,30 @@ class TestTopK:
         m = retained_count(rate, len(v))
         assert len(u) == m
         assert list(u.indices) == sort_oracle_indices(v, m)
+
+    @given(tie_heavy_vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_matches_oracle_at_every_count(self, v):
+        d = len(v)
+        for m in range(1, d + 1):
+            assert retained_count(m / d, d) == m
+            u = top_k_sparsify(v, m / d)
+            assert list(u.indices) == sort_oracle_indices(v, m)
+            assert np.array_equal(u.values, v[u.indices])
+
+    def test_wide_vector_cut_inside_tie_block(self):
+        rng = np.random.default_rng(11)
+        d = 82_890
+        # ~2000 entries per magnitude step, plus 300 larger distinct entries
+        v = rng.integers(-40, 41, size=d) * 0.25
+        v[rng.choice(d, size=300, replace=False)] = 20.0 + rng.standard_normal(300)
+        v[:2] = [np.inf, -np.inf]
+        m = retained_count(0.01, d)
+        mag = np.sort(np.abs(v))[::-1]
+        kth = mag[m - 1]
+        assert np.count_nonzero(mag > kth) < m < np.count_nonzero(mag >= kth)
+        u = top_k_sparsify(v, 0.01)
+        assert np.array_equal(u.indices, lexsort_oracle_indices(v, m))
 
     @given(finite_vectors, st.floats(0.01, 1.0), st.integers(-10, 10))
     @settings(max_examples=100, deadline=None)
