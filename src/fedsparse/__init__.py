@@ -17,6 +17,8 @@ from .model import (ModelSpec, backward, cross_entropy, evaluate, finite_diff_gr
 from .partition import (DirichletParams, Partition, dirichlet_log_pdf,
                         export_assignments_csv, log_gamma, partition_dataset,
                         sample_dirichlet)
+# The `sparsify` function is not re-exported: it would hide the submodule
+# of the same name (`from fedsparse import sparsify` is the module).
 from .sparsify import (DecodeError, SparseUpdate, SparsityPolicy, comm_bytes, decode,
                        densify, encode, encoded_size, random_sparsify, retained_count,
-                       sparsify, threshold_sparsify, top_k_sparsify)
+                       threshold_sparsify, top_k_sparsify)

@@ -28,7 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .sparsify import MAX_CLIENT_ID, MAX_ROUND, SparsityPolicy
+from .model import ModelSpec, param_count
+from .sparsify import MAX_CLIENT_ID, MAX_INDEX, MAX_ROUND, SparsityPolicy
 
 
 class ConfigError(ValueError):
@@ -226,6 +227,11 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     _require(cfg.batch_size >= 1, "batch_size", "must be >= 1")
     _require(0.0 < cfg.participation <= 1.0, "participation", "must be in (0, 1]")
     _require(0.0 < cfg.test_fraction < 1.0, "test_fraction", "must be in (0, 1)")
+    params = param_count(ModelSpec(
+        (cfg.dataset.input_dim, *cfg.model.hidden, cfg.dataset.classes)))
+    _require(params <= MAX_INDEX + 1, "model.hidden",
+             f"gives {params} params, more than {MAX_INDEX + 1} "
+             f"(the FSU1 index is a u32)")
     return cfg
 
 

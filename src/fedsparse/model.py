@@ -13,6 +13,7 @@ batch, so a fixed sample order gives a bit-identical loss.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,22 @@ class ModelSpec:
         return self.layer_sizes[-1]
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(layer_sizes: tuple[int, ...]):
+    """Per-layer (weight start, bias start, bias end, n_in, n_out) offsets
+    into the flat vector, and the total parameter count."""
+    slices = []
+    pos = 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        bias = pos + n_in * n_out
+        slices.append((pos, bias, bias + n_out, n_in, n_out))
+        pos = bias + n_out
+    return tuple(slices), pos
+
+
 def param_count(spec: ModelSpec) -> int:
     """Total number of parameters: sum of n_in*n_out + n_out per layer."""
-    sizes = spec.layer_sizes
-    return sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    return _layout(spec.layer_sizes)[1]
 
 
 def init_params(spec: ModelSpec) -> np.ndarray:
@@ -72,20 +85,13 @@ def init_params(spec: ModelSpec) -> np.ndarray:
 def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Slice the flat vector into per-layer (weights, bias) views."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.shape[0] != param_count(spec):
+    slices, total = _layout(spec.layer_sizes)
+    if params.ndim != 1 or params.shape[0] != total:
         raise ValueError(
-            f"parameter vector has length {params.shape}, "
-            f"model needs {param_count(spec)}"
+            f"parameter vector has length {params.shape}, model needs {total}"
         )
-    layers = []
-    pos = 0
-    for n_in, n_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        w = params[pos:pos + n_in * n_out].reshape(n_in, n_out)
-        pos += n_in * n_out
-        b = params[pos:pos + n_out]
-        pos += n_out
-        layers.append((w, b))
-    return layers
+    return [(params[w:b].reshape(n_in, n_out), params[b:end])
+            for w, b, end, n_in, n_out in slices]
 
 
 def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
@@ -105,7 +111,8 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        # multiplying by the bool mask gives the same bits as by 0.0/1.0
+        return z > 0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -134,8 +141,8 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
 def _sum_left_to_right(values: np.ndarray) -> float:
     # Fixed left-to-right accumulation: the documented summation order.
     total = 0.0
-    for v in values:
-        total += float(v)
+    for v in values.tolist():
+        total += v
     return total
 
 
@@ -145,7 +152,7 @@ def _check_labels(labels: np.ndarray, class_count: int, batch: int) -> np.ndarra
         raise ValueError(f"labels have shape {labels.shape}, expected ({batch},)")
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ValueError(f"labels must lie in [0, {class_count})")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -181,9 +188,8 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
 
     logits = acts[-1]
     m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    probs = e / e.sum(axis=1, keepdims=True)
-    delta = probs
+    delta = np.exp(logits - m)
+    delta /= delta.sum(axis=1, keepdims=True)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 

@@ -32,6 +32,7 @@ MAGIC = b"FSU1"
 WIRE_VERSION = 1
 HEADER_BYTES = 27  # 4 magic + 1 version + 8 dim + 8 count + 4 round + 2 client_id
 BYTES_PER_ENTRY = 8  # 4-byte index + 4-byte float32 value
+MAX_INDEX = 2 ** 32 - 1  # u32 index field: a model has at most MAX_INDEX + 1 params
 MAX_ROUND = 2 ** 32 - 1  # u32 round field
 MAX_CLIENT_ID = 2 ** 16 - 1  # u16 client id field
 
@@ -68,10 +69,15 @@ class SparseUpdate:
             raise ValueError(
                 f"{self.indices.shape[0]} indices but {self.values.shape[0]} values"
             )
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.dim:
+        i = self.indices
+        if i.size:
+            # When the indices increase, the ends bound the range; otherwise
+            # the range error still comes first, so it needs min/max.
+            increasing = bool((i[1:] > i[:-1]).all())
+            lo, hi = (i[0], i[-1]) if increasing else (i.min(), i.max())
+            if lo < 0 or hi >= self.dim:
                 raise ValueError("indices must lie in [0, dim)")
-            if np.any(np.diff(self.indices) <= 0):
+            if not increasing:
                 raise ValueError("indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -143,7 +149,8 @@ def top_k_sparsify(v, rate: float, *, round: int = 0, client_id: int = 0) -> Spa
     The m-th largest magnitude `kth` comes from a partition, O(d) rather
     than a full sort. Every entry with |v| > kth is kept, then the
     lowest-index entries with |v| == kth until there are m: the same set
-    as the first m positions of a stable sort on -|v|.
+    as the first m positions of a stable sort on -|v|. Without a tie at
+    the cut, |v| >= kth already holds for exactly m entries.
     """
     v = _check_vector(v)
     d = v.shape[0]
@@ -153,10 +160,12 @@ def top_k_sparsify(v, rate: float, *, round: int = 0, client_id: int = 0) -> Spa
     else:
         mag = np.abs(v)
         kth = np.partition(mag, d - m)[d - m]
-        mask = mag > kth
-        ties = np.flatnonzero(mag == kth)
-        mask[ties[:m - np.count_nonzero(mask)]] = True
-        keep = np.flatnonzero(mask)
+        keep = np.flatnonzero(mag >= kth)
+        if keep.shape[0] > m:
+            mask = mag > kth
+            ties = np.flatnonzero(mag == kth)
+            mask[ties[:m - np.count_nonzero(mask)]] = True
+            keep = np.flatnonzero(mask)
     return SparseUpdate(d, keep, v[keep], round=round, client_id=client_id)
 
 
@@ -215,7 +224,7 @@ def encode(u: SparseUpdate) -> bytes:
     m = len(u)
     if u.dim >= 2 ** 64:
         raise ValueError("dim does not fit the 8-byte wire field")
-    if m and int(u.indices.max()) >= 2 ** 32:
+    if m and int(u.indices[-1]) > MAX_INDEX:
         raise ValueError("index does not fit the 4-byte wire field")
     if not (0 <= u.round <= MAX_ROUND):
         raise ValueError("round does not fit the 4-byte wire field")

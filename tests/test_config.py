@@ -73,6 +73,19 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"^rounds: must be <= 4294967295"):
             parse_config_dict(dict(MINIMAL, rounds=2 ** 32))
 
+    def test_model_size_limit_checked_at_config_time(self):
+        # FSU1 indices are u32: 2**32 params (largest index 2**32 - 1) fit.
+        # input_dim d, one hidden layer h, c classes: h*(d + 1 + c) + c params.
+        def cfg(input_dim, classes):
+            return dict(MINIMAL, model={"hidden": [4]},
+                        dataset={"kind": "synthetic", "input_dim": input_dim,
+                                 "classes": classes})
+        assert 4 * ((2 ** 30 - 6) + 1 + 4) + 4 == 2 ** 32
+        assert 4 * ((2 ** 30 - 7) + 1 + 5) + 5 == 2 ** 32 + 1
+        assert parse_config_dict(cfg(2 ** 30 - 6, 4)).model.hidden == (4,)
+        with pytest.raises(ConfigError, match=r"^model\.hidden: gives 4294967297 params"):
+            parse_config_dict(cfg(2 ** 30 - 7, 5))
+
     def test_wrong_types_rejected(self):
         with pytest.raises(ConfigError, match="seed: must be an integer"):
             parse_config_dict(dict(MINIMAL, seed="banana"))

@@ -19,6 +19,56 @@ def rel_err(a, b, guard=1e-3):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), guard)
 
 
+def reference_backward(spec, params, inputs, labels):
+    """backward as it stood before the per-call cleanups (cached layout,
+    in-place softmax, bool ReLU mask): same BLAS calls, so equal bits."""
+    layers = []
+    pos = 0
+    for n_in, n_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+        w = params[pos:pos + n_in * n_out].reshape(n_in, n_out)
+        pos += n_in * n_out
+        b = params[pos:pos + n_out]
+        pos += n_out
+        layers.append((w, b))
+    acts = [inputs]
+    zs = []
+    a = inputs
+    for i, (w, b) in enumerate(layers):
+        z = a @ w + b
+        zs.append(z)
+        if i < len(layers) - 1:
+            a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        else:
+            a = z
+        acts.append(a)
+    n = inputs.shape[0]
+
+    logits = acts[-1]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    probs = e / e.sum(axis=1, keepdims=True)
+    delta = probs
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grad_chunks = []
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        gw = acts[i].T @ delta
+        gb = delta.sum(axis=0)
+        grad_chunks.append(gb)
+        grad_chunks.append(gw.ravel())
+        if i > 0:
+            z = zs[i - 1]
+            if spec.activation == "relu":
+                grad = (z > 0.0).astype(np.float64)
+            else:
+                t = np.tanh(z)
+                grad = 1.0 - t * t
+            delta = (delta @ w.T) * grad
+    return np.concatenate(grad_chunks[::-1])
+
+
 def random_batch(spec, n, seed):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n, spec.input_dim)),
@@ -188,6 +238,41 @@ class TestBackward:
         params = init_params(spec)
         X, y = random_batch(spec, 9, seed=7)
         assert loss(spec, params, X, y) == loss(spec, params, X, y)
+
+    def test_loss_sums_left_to_right(self):
+        # One loss near 3, then 16 of about 2**-52, the smallest positive
+        # per-sample loss (the log of the float after 1.0). Each small one
+        # is at most half an ulp of the running total and vanishes when
+        # added in order; a pairwise np.sum keeps them.
+        n = 17
+        logits = np.zeros((n, 2))
+        logits[0, 1] = 3.0
+        logits[1:, 1] = -36.7
+        labels = np.zeros(n, dtype=np.int64)
+        per_sample = [cross_entropy(logits[i:i + 1], labels[i:i + 1]) for i in range(n)]
+        assert all(0.0 < value <= 2.0 ** -52 for value in per_sample[1:])
+        sequential = 0.0
+        for value in per_sample:
+            sequential += value
+        assert float(np.sum(per_sample)) != sequential
+        assert cross_entropy(logits, labels) == sequential / n
+
+    @given(st.sampled_from(["relu", "tanh"]),
+           st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           st.integers(1, 6), st.integers(2, 5), st.integers(1, 33),
+           st.sampled_from([0.0, 0.1]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_reference_backward(self, activation, hidden, d, c, n,
+                                                 noise, seed):
+        spec = ModelSpec((d, *hidden, c), activation=activation, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = init_params(spec) + noise * rng.standard_normal(param_count(spec))
+        X, y = random_batch(spec, n, seed)
+        # zero rows with the zero initial biases give pre-activations of
+        # exactly 0.0, where the ReLU mask's strict inequality matters
+        X[rng.random(n) < 0.3] = 0.0
+        assert np.array_equal(backward(spec, params, X, y),
+                              reference_backward(spec, params, X, y))
 
 
 class TestFiniteDiff:

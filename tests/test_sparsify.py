@@ -1,5 +1,6 @@
 """Sparsifier tests: brute-force oracles, cardinality, selection properties."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -76,6 +77,23 @@ class TestTopK:
     def test_magnitude_ties_break_low_index(self):
         u = top_k_sparsify(np.array([1.0, -1.0, 1.0]), 0.6)  # m = 2
         assert list(u.indices) == [0, 1]
+
+    @pytest.mark.parametrize("v, m, tie_at_cut", [
+        ([3.0, -3.0, 1.0, 0.5], 2, False),       # tie above the cut only
+        ([0.5, -2.0, 0.1, 1.5, 0.0], 1, False),
+        ([0.25, -4.0, 2.0, -1.0, 4.0], 3, False),
+        ([2.0, 1.0, -1.0, 1.0, 0.0], 2, True),   # three entries tie at the cut
+        ([1.0, -1.0, 1.0, -1.0], 3, True),       # every entry ties
+        ([0.0, 5.0, -0.0, 0.0, 0.0], 2, True),   # +0.0 and -0.0 tie at the cut
+        ([np.inf, -np.inf, 1.0], 1, True),
+    ])
+    def test_with_and_without_tie_at_cut(self, v, m, tie_at_cut):
+        # |v| >= kth holds for exactly m entries unless a tie straddles the cut
+        v = np.array(v)
+        kth = np.sort(np.abs(v))[len(v) - m]
+        assert (np.count_nonzero(np.abs(v) >= kth) > m) == tie_at_cut
+        u = top_k_sparsify(v, m / len(v))
+        assert np.array_equal(u.indices, lexsort_oracle_indices(v, m))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -220,6 +238,33 @@ class TestDensifyAndContainer:
         assert np.all(dense[~mask] == 0.0)
         assert np.array_equal(dense[mask], v[mask])
 
+    @staticmethod
+    def min_max_diff_rule(dim, indices):
+        """The container's index rule as min/max/np.diff: the range error
+        before the order error, message or None."""
+        i = np.asarray(indices, dtype=np.int64)
+        if i.size:
+            if i.min() < 0 or i.max() >= dim:
+                return "indices must lie in [0, dim)"
+            if np.any(np.diff(i) <= 0):
+                return "indices must be strictly increasing"
+        return None
+
+    index_lists = st.lists(st.integers(-3, 12), max_size=8)
+
+    @given(st.integers(0, 10),
+           st.one_of(index_lists, index_lists.map(lambda i: sorted(set(i))),
+                     index_lists.map(sorted)))
+    @settings(max_examples=400, deadline=None)
+    def test_index_checks_match_min_max_diff_rule(self, dim, indices):
+        expected = self.min_max_diff_rule(dim, indices)
+        try:
+            SparseUpdate(dim, indices, np.zeros(len(indices)))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+
     def test_container_validation(self):
         with pytest.raises(ValueError):
             SparseUpdate(4, [0, 4], [1.0, 2.0])  # index >= dim
@@ -257,3 +302,11 @@ class TestPolicyDispatch:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
             sparsify(np.ones(3), SparsityPolicy("random", rate=0.5))
+
+
+def test_submodule_not_hidden_by_function():
+    import fedsparse.sparsify as by_import
+    from fedsparse import sparsify as by_from
+    module = importlib.import_module("fedsparse.sparsify")
+    assert by_import is module
+    assert by_from is module
