@@ -10,15 +10,14 @@ from .config import (ConfigError, CsvDataConfig, ExperimentConfig, ModelConfig,
 from .data import Dataset, NormStats, gen_synthetic, load_csv, normalize, save_csv, \
     train_test_split
 from .federation import (ClientState, ClientUpdate, ExperimentResult, RoundMetrics,
-                         ServerState, TrainingConfig, TrainingDiverged, aggregate,
-                         client_local_train, global_loss, run_experiment, run_round)
+                         ServerState, TrainingDiverged, aggregate, client_local_train,
+                         global_loss, run_experiment, run_round)
 from .model import (ModelSpec, backward, cross_entropy, evaluate, finite_diff_grad,
                     forward, init_params, param_count)
-from .partition import (DirichletParams, Partition, dirichlet_log_pdf,
-                        export_assignments_csv, log_gamma, partition_dataset,
-                        sample_dirichlet)
+from .partition import (DirichletParams, Partition, dirichlet_log_pdf, log_gamma,
+                        partition_dataset, sample_dirichlet)
 # The `sparsify` function is not re-exported: it would hide the submodule
 # of the same name (`from fedsparse import sparsify` is the module).
-from .sparsify import (DecodeError, SparseUpdate, SparsityPolicy, comm_bytes, decode,
-                       densify, encode, encoded_size, random_sparsify, retained_count,
+from .sparsify import (DecodeError, SparseUpdate, SparsityPolicy, decode, densify,
+                       encode, encoded_size, random_sparsify, retained_count,
                        threshold_sparsify, top_k_sparsify)

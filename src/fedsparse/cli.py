@@ -20,12 +20,11 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, SyntheticDataConfig,
-                     emit_config, parse_config)
+from .config import (ConfigError, ExperimentConfig, _check_keys, _get, _get_list,
+                     _parse_synthetic, _require, emit_config, parse_config)
 from .data import gen_synthetic, save_csv
 from .federation import ExperimentResult, RoundMetrics, run_experiment
 from .sparsify import DecodeError, SparsityPolicy, decode
@@ -68,12 +67,10 @@ def _apply_seed_env(cfg: ExperimentConfig) -> ExperimentConfig:
     if override is None:
         return cfg
     try:
-        seed = int(override)
-    except ValueError:
-        raise ConfigError(f"FEDSPARSE_SEED must be an integer, got {override!r}")
-    if seed < 0:
-        raise ConfigError("FEDSPARSE_SEED must be >= 0")
-    return replace(cfg, seed=seed)
+        return replace(cfg, seed=int(override))
+    except ValueError:  # not an integer, or a seed ExperimentConfig rejects
+        raise ConfigError(f"FEDSPARSE_SEED must be a non-negative integer, "
+                          f"got {override!r}") from None
 
 
 def _metrics_csv(result: ExperimentResult) -> str:
@@ -150,21 +147,17 @@ def _load_grid(path) -> tuple[list[float], list[str], list[float]]:
         raise ConfigError(f"grid file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("grid: must be a JSON object")
-    for key in obj:
-        if key not in ("alpha", "policy", "rate"):
-            raise ConfigError(f"unknown key {key!r} in grid")
-    alphas = obj.get("alpha", [])
-    policies = obj.get("policy", ["top_k"])
-    rates = obj.get("rate", [])
+    _require(isinstance(obj, dict), "grid", "must be a JSON object")
+    _check_keys(obj, {"alpha", "policy", "rate"}, "grid")
+    alphas = _get_list(obj, "alpha", [], float, "grid.alpha")
+    policies = _get_list(obj, "policy", ["top_k"], str, "grid.policy")
+    rates = _get_list(obj, "rate", [], float, "grid.rate")
     if not alphas or not rates or not policies:
         raise ConfigError("grid: alpha, policy and rate lists must be nonempty")
     for kind in policies:
         if kind not in ("top_k", "threshold", "random", "dense"):
             raise ConfigError(f"grid.policy: unknown kind {kind!r}")
-    return ([float(a) for a in alphas], [str(p) for p in policies],
-            [float(r) for r in rates])
+    return alphas, policies, rates
 
 
 def _run_cell(base: ExperimentConfig, out_root: str, index: int,
@@ -177,8 +170,6 @@ def _run_cell(base: ExperimentConfig, out_root: str, index: int,
         policy=_policy_for_cell(kind, rate),
         output_dir=os.path.join(out_root, "cells", f"cell_{index:03d}"),
     )
-    if alpha <= 0:
-        raise ConfigError("cell alpha must be > 0")
     result = run_experiment(cfg)
     _write_run_outputs(cfg.output_dir, cfg, result)
     return (result.final_accuracy,
@@ -215,6 +206,8 @@ def _cmd_sweep(args) -> int:
 
     outcomes: list[object] = []
     if args.jobs > 1:
+        # imported here so that `run` and serial sweeps load no process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_cell, base, out_root, i, alpha, kind, rate)
                        for i, (alpha, kind, rate) in cells]
@@ -286,19 +279,14 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError(f"spec file not found: {args.spec}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("gen-data spec: must be a JSON object")
-    for key in obj:
-        if key not in ("classes", "per_class", "input_dim", "separation", "seed"):
-            raise ConfigError(f"unknown key {key!r} in gen-data spec")
-    defaults = SyntheticDataConfig()
-    ds = gen_synthetic(
-        classes=obj.get("classes", defaults.classes),
-        per_class=obj.get("per_class", defaults.per_class),
-        input_dim=obj.get("input_dim", defaults.input_dim),
-        separation=obj.get("separation", defaults.separation),
-        rng_seed=obj.get("seed", 0),
-    )
+    _require(isinstance(obj, dict), "gen-data spec", "must be a JSON object")
+    _check_keys(obj, {"classes", "per_class", "input_dim", "separation", "seed"},
+                "gen-data spec")
+    data = _parse_synthetic(obj, "spec")
+    seed = _get(obj, "seed", 0, int, "spec.seed")
+    _require(seed >= 0, "spec.seed", "must be >= 0")
+    ds = gen_synthetic(data.classes, data.per_class, data.input_dim, data.separation,
+                       rng_seed=seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_csv(ds, args.out)
     print(f"wrote {len(ds)} samples ({ds.class_count} classes, "

@@ -80,6 +80,32 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     output_dir: str = "out"
 
+    def __post_init__(self):
+        # The one owner of the top-level range rules: parsed configs, sweep
+        # cells made with dataclasses.replace and configs built in code all
+        # pass through here. learning_rate 0 is accepted (the conservation
+        # tests rely on it); parse_config_dict alone requires it to be > 0.
+        _require(self.seed >= 0, "seed", "must be >= 0")
+        _require(self.clients >= 1, "clients", "must be >= 1")
+        _require(self.clients <= MAX_CLIENT_ID, "clients",
+                 f"must be <= {MAX_CLIENT_ID} (the FSU1 client id is a u16)")
+        _require(self.alpha > 0, "alpha", "must be > 0")
+        _require(self.sparsify_site in ("uploaded_delta", "local_gradient"),
+                 "sparsify_site", "must be 'uploaded_delta' or 'local_gradient'")
+        _require(self.rounds >= 1, "rounds", "must be >= 1")
+        _require(self.rounds <= MAX_ROUND, "rounds",
+                 f"must be <= {MAX_ROUND} (the FSU1 round is a u32)")
+        _require(self.local_epochs >= 1, "local_epochs", "must be >= 1")
+        _require(self.learning_rate >= 0, "learning_rate", "must be >= 0")
+        _require(self.batch_size >= 1, "batch_size", "must be >= 1")
+        _require(0.0 < self.participation <= 1.0, "participation", "must be in (0, 1]")
+        _require(0.0 < self.test_fraction < 1.0, "test_fraction", "must be in (0, 1)")
+        params = param_count(ModelSpec(
+            (self.dataset.input_dim, *self.model.hidden, self.dataset.classes)))
+        _require(params <= MAX_INDEX + 1, "model.hidden",
+                 f"gives {params} params, more than {MAX_INDEX + 1} "
+                 f"(the FSU1 index is a u32)")
+
 
 def _require(cond: bool, path: str, constraint: str):
     if not cond:
@@ -93,25 +119,44 @@ def _check_keys(obj: dict, allowed: set[str], section: str):
             raise ConfigError(f"unknown key {key!r}{where}")
 
 
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), bool: ("true or false", None)}
+
+
+def _is(value, types) -> bool:
+    if isinstance(value, bool):  # a bool is an int to isinstance, never here
+        return types is bool
+    return isinstance(value, (int, float) if types is float else types)
+
+
 def _get(obj: dict, key: str, default, types, path: str):
-    value = obj.get(key, default)
-    if value is default and key not in obj:
+    if key not in obj:
         return default
-    if types is float:
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 path, "must be a number")
-        return float(value)
-    if types is int:
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 path, "must be an integer")
-        return value
-    if types is bool:
-        _require(isinstance(value, bool), path, "must be true or false")
-        return value
-    if types is str:
-        _require(isinstance(value, str), path, "must be a string")
-        return value
-    raise AssertionError(types)
+    value = obj[key]
+    _require(_is(value, types), path, f"must be {_TYPE_NAMES[types][0]}")
+    return float(value) if types is float else value
+
+
+def _get_list(obj: dict, key: str, default: list, types, path: str) -> list:
+    values = obj.get(key, default)
+    _require(isinstance(values, list) and all(_is(v, types) for v in values),
+             path, f"must be a list of {_TYPE_NAMES[types][1]}")
+    return [float(v) for v in values] if types is float else values
+
+
+def _parse_synthetic(obj: dict, section: str) -> SyntheticDataConfig:
+    """Typed, range-checked synthetic-dataset fields; paths are section.key."""
+    cfg = SyntheticDataConfig(
+        classes=_get(obj, "classes", 3, int, f"{section}.classes"),
+        per_class=_get(obj, "per_class", 100, int, f"{section}.per_class"),
+        input_dim=_get(obj, "input_dim", 8, int, f"{section}.input_dim"),
+        separation=_get(obj, "separation", 3.0, float, f"{section}.separation"),
+    )
+    _require(cfg.classes >= 2, f"{section}.classes", "must be >= 2")
+    _require(cfg.per_class >= 1, f"{section}.per_class", "must be >= 1")
+    _require(cfg.input_dim >= 1, f"{section}.input_dim", "must be >= 1")
+    _require(cfg.separation >= 0, f"{section}.separation", "must be >= 0")
+    return cfg
 
 
 def _parse_dataset(obj) -> SyntheticDataConfig | CsvDataConfig:
@@ -120,17 +165,7 @@ def _parse_dataset(obj) -> SyntheticDataConfig | CsvDataConfig:
     if kind == "synthetic":
         _check_keys(obj, {"kind", "classes", "per_class", "input_dim", "separation"},
                     "dataset")
-        cfg = SyntheticDataConfig(
-            classes=_get(obj, "classes", 3, int, "dataset.classes"),
-            per_class=_get(obj, "per_class", 100, int, "dataset.per_class"),
-            input_dim=_get(obj, "input_dim", 8, int, "dataset.input_dim"),
-            separation=_get(obj, "separation", 3.0, float, "dataset.separation"),
-        )
-        _require(cfg.classes >= 2, "dataset.classes", "must be >= 2")
-        _require(cfg.per_class >= 1, "dataset.per_class", "must be >= 1")
-        _require(cfg.input_dim >= 1, "dataset.input_dim", "must be >= 1")
-        _require(cfg.separation >= 0, "dataset.separation", "must be >= 0")
-        return cfg
+        return _parse_synthetic(obj, "dataset")
     if kind == "csv":
         _check_keys(obj, {"kind", "path", "input_dim", "classes", "normalize",
                           "skip_header"}, "dataset")
@@ -153,10 +188,7 @@ def _parse_dataset(obj) -> SyntheticDataConfig | CsvDataConfig:
 def _parse_model(obj) -> ModelConfig:
     _require(isinstance(obj, dict), "model", "must be an object")
     _check_keys(obj, {"hidden", "activation"}, "model")
-    hidden = obj.get("hidden", [16])
-    _require(isinstance(hidden, list) and all(
-        isinstance(h, int) and not isinstance(h, bool) for h in hidden),
-        "model.hidden", "must be a list of integers")
+    hidden = _get_list(obj, "hidden", [16], int, "model.hidden")
     _require(all(h >= 1 for h in hidden), "model.hidden", "every width must be >= 1")
     activation = _get(obj, "activation", "relu", str, "model.activation")
     _require(activation in ("relu", "tanh"), "model.activation",
@@ -196,7 +228,7 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     _check_keys(obj, _TOP_KEYS, "")
     for required in ("seed", "dataset", "policy"):
         _require(required in obj, required, "is required")
-    cfg = ExperimentConfig(
+    fields = dict(
         seed=_get(obj, "seed", None, int, "seed"),
         dataset=_parse_dataset(obj["dataset"]),
         policy=_parse_policy(obj["policy"]),
@@ -212,27 +244,9 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
         test_fraction=_get(obj, "test_fraction", 0.2, float, "test_fraction"),
         output_dir=_get(obj, "output_dir", "out", str, "output_dir"),
     )
-    _require(cfg.seed >= 0, "seed", "must be >= 0")
-    _require(cfg.clients >= 1, "clients", "must be >= 1")
-    _require(cfg.clients <= MAX_CLIENT_ID, "clients",
-             f"must be <= {MAX_CLIENT_ID} (the FSU1 client id is a u16)")
-    _require(cfg.alpha > 0, "alpha", "must be > 0")
-    _require(cfg.sparsify_site in ("uploaded_delta", "local_gradient"),
-             "sparsify_site", "must be 'uploaded_delta' or 'local_gradient'")
-    _require(cfg.rounds >= 1, "rounds", "must be >= 1")
-    _require(cfg.rounds <= MAX_ROUND, "rounds",
-             f"must be <= {MAX_ROUND} (the FSU1 round is a u32)")
-    _require(cfg.local_epochs >= 1, "local_epochs", "must be >= 1")
-    _require(cfg.learning_rate > 0, "learning_rate", "must be > 0")
-    _require(cfg.batch_size >= 1, "batch_size", "must be >= 1")
-    _require(0.0 < cfg.participation <= 1.0, "participation", "must be in (0, 1]")
-    _require(0.0 < cfg.test_fraction < 1.0, "test_fraction", "must be in (0, 1)")
-    params = param_count(ModelSpec(
-        (cfg.dataset.input_dim, *cfg.model.hidden, cfg.dataset.classes)))
-    _require(params <= MAX_INDEX + 1, "model.hidden",
-             f"gives {params} params, more than {MAX_INDEX + 1} "
-             f"(the FSU1 index is a u32)")
-    return cfg
+    # a run needs lr > 0; ExperimentConfig itself also accepts 0
+    _require(fields["learning_rate"] > 0, "learning_rate", "must be > 0")
+    return ExperimentConfig(**fields)
 
 
 def parse_config(path) -> ExperimentConfig:

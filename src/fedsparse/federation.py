@@ -36,7 +36,7 @@ from .config import CsvDataConfig, ExperimentConfig, SyntheticDataConfig
 from .data import Dataset, gen_synthetic, load_csv, normalize, train_test_split
 from .model import ModelSpec
 from .partition import Partition, partition_dataset
-from .sparsify import SparseUpdate, SparsityPolicy, densify, encode, encoded_size, sparsify
+from .sparsify import SparseUpdate, densify, encode, encoded_size, sparsify
 
 _SELECT_TAG = 1
 _CLIENT_TAG = 2
@@ -47,31 +47,6 @@ _PARTITION_TAG = 12
 
 class TrainingDiverged(RuntimeError):
     """A client produced non-finite parameters during local training."""
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    rounds: int
-    local_epochs: int
-    learning_rate: float
-    batch_size: int
-    policy: SparsityPolicy
-    participation: float = 1.0
-    sparsify_site: str = "uploaded_delta"
-
-    def __post_init__(self):
-        if self.rounds < 1 or self.local_epochs < 1:
-            raise ValueError("rounds and local_epochs must be >= 1")
-        # lr 0 is allowed here (conservation checks rely on it); the
-        # user-facing ExperimentConfig requires lr > 0.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.participation <= 1.0):
-            raise ValueError("participation must be in (0, 1]")
-        if self.sparsify_site not in ("uploaded_delta", "local_gradient"):
-            raise ValueError(f"unknown sparsify_site {self.sparsify_site!r}")
 
 
 @dataclass
@@ -136,7 +111,7 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def client_local_train(client: ClientState, global_params: np.ndarray,
-                       cfg: TrainingConfig, model_spec: ModelSpec,
+                       cfg: ExperimentConfig, model_spec: ModelSpec,
                        dataset: Dataset, rng: np.random.Generator,
                        round_index: int = 0) -> ClientUpdate:
     """Run local SGD from the broadcast parameters and build the upload.
@@ -272,7 +247,7 @@ def _selection_count(participation: float, n_clients: int) -> int:
     return max(1, math.ceil(participation * n_clients - 1e-9))
 
 
-def run_round(server: ServerState, clients: list[ClientState], cfg: TrainingConfig,
+def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentConfig,
               model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset,
               experiment_seed: int) -> RoundMetrics:
     """Execute one communication round and append its metrics.
@@ -327,11 +302,23 @@ class ExperimentResult:
     final_params: np.ndarray
     model_spec: ModelSpec
     partitions: list[Partition]
-    final_accuracy: float
-    final_global_loss: float
-    total_uplink_bytes: int
-    total_downlink_bytes: int
     wall_time_s: float
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.history[-1].top1_accuracy
+
+    @property
+    def final_global_loss(self) -> float:
+        return self.history[-1].global_loss
+
+    @property
+    def total_uplink_bytes(self) -> int:
+        return sum(m.uplink_bytes for m in self.history)
+
+    @property
+    def total_downlink_bytes(self) -> int:
+        return sum(m.downlink_bytes for m in self.history)
 
 
 def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -355,18 +342,6 @@ def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def training_config(config: ExperimentConfig) -> TrainingConfig:
-    return TrainingConfig(
-        rounds=config.rounds,
-        local_epochs=config.local_epochs,
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        policy=config.policy,
-        participation=config.participation,
-        sparsify_site=config.sparsify_site,
-    )
-
-
 def run_experiment(config: ExperimentConfig, on_round=None) -> ExperimentResult:
     """End-to-end run: data, split, partition, T rounds. Deterministic
     given config.seed (clients train serially)."""
@@ -379,22 +354,16 @@ def run_experiment(config: ExperimentConfig, on_round=None) -> ExperimentResult:
         activation=config.model.activation,
         seed=config.seed,
     )
-    cfg = training_config(config)
     server = ServerState(global_params=model_ops.init_params(spec))
     clients = [ClientState(p.client_id, p) for p in partitions]
     for _ in range(config.rounds):
-        metrics = run_round(server, clients, cfg, spec, train_ds, test_ds, config.seed)
+        metrics = run_round(server, clients, config, spec, train_ds, test_ds, config.seed)
         if on_round is not None:
             on_round(metrics)
-    last = server.history[-1]
     return ExperimentResult(
         history=server.history,
         final_params=server.global_params,
         model_spec=spec,
         partitions=partitions,
-        final_accuracy=last.top1_accuracy,
-        final_global_loss=last.global_loss,
-        total_uplink_bytes=sum(m.uplink_bytes for m in server.history),
-        total_downlink_bytes=sum(m.downlink_bytes for m in server.history),
         wall_time_s=time.perf_counter() - start,
     )

@@ -129,11 +129,10 @@ def dirichlet_log_pdf(params: DirichletParams, x) -> float:
 
 @dataclass
 class Partition:
-    """One client's slice of a dataset: indices into it plus its weight |D_i|/|D|."""
+    """One client's slice of a dataset: indices into it."""
 
     client_id: int
     sample_indices: np.ndarray
-    weight: float
 
     def __post_init__(self):
         self.sample_indices = np.asarray(self.sample_indices, dtype=np.int64)
@@ -194,11 +193,7 @@ def partition_dataset(labels, n_clients: int, alpha: float, rng_seed) -> list[Pa
         for chunks in per_client
     ]
     _repair_empty(assignments)
-    total = labels.shape[0]
-    return [
-        Partition(cid, idx, idx.shape[0] / total)
-        for cid, idx in enumerate(assignments)
-    ]
+    return [Partition(cid, idx) for cid, idx in enumerate(assignments)]
 
 
 def _repair_empty(assignments: list[np.ndarray]) -> None:
@@ -212,16 +207,3 @@ def _repair_empty(assignments: list[np.ndarray]) -> None:
         taker = int(empty[0])
         assignments[taker] = assignments[donor][-1:]
         assignments[donor] = assignments[donor][:-1]
-
-
-def export_assignments_csv(partitions: list[Partition], path) -> None:
-    """Audit dump: one (sample_index, client_id) row per sample, sorted by index."""
-    rows = []
-    for p in partitions:
-        for idx in p.sample_indices:
-            rows.append((int(idx), p.client_id))
-    rows.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_index,client_id\n")
-        for idx, cid in rows:
-            fh.write(f"{idx},{cid}\n")

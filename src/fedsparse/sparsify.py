@@ -270,8 +270,3 @@ def decode(data: bytes) -> SparseUpdate:
                 f"non-increasing index at offset {HEADER_BYTES + 4 * bad}"
             )
     return SparseUpdate(dim, indices, values, round=rnd, client_id=client_id)
-
-
-def comm_bytes(updates) -> int:
-    """Total encoded length of a batch of updates."""
-    return sum(encoded_size(len(u)) for u in updates)

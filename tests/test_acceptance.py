@@ -16,14 +16,13 @@ import pytest
 
 from fedsparse.cli import EXIT_OK, main
 from fedsparse.config import parse_config_dict
-from fedsparse.federation import (ClientState, ServerState, TrainingConfig,
-                                  build_dataset, run_experiment, run_round)
+from fedsparse.federation import (ClientState, ServerState, build_dataset,
+                                  run_experiment, run_round)
 from fedsparse.model import ModelSpec, backward, finite_diff_grad, init_params
 from fedsparse.partition import (DirichletParams, _sample_proportions,
                                  dirichlet_log_pdf)
-from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, SparsityPolicy, decode,
-                                encode, random_sparsify, threshold_sparsify,
-                                top_k_sparsify)
+from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, decode, encode,
+                                random_sparsify, threshold_sparsify, top_k_sparsify)
 
 
 @contextmanager
@@ -261,15 +260,13 @@ def test_criterion_9_fedavg_degeneration():
         from fedsparse.partition import partition_dataset
         parts = partition_dataset(train.labels, 1, config.alpha, [config.seed, 12])
         spec = ModelSpec((train.input_dim, 8, train.class_count), seed=config.seed)
-        cfg = TrainingConfig(rounds=10, local_epochs=2, learning_rate=0.01,
-                             batch_size=8, policy=SparsityPolicy("top_k", rate=1.0))
         server = ServerState(global_params=init_params(spec))
         clients = [ClientState(0, parts[0])]
 
         reference = init_params(spec)
         idx = parts[0].sample_indices
         for t in range(10):
-            run_round(server, clients, cfg, spec, train, test, config.seed)
+            run_round(server, clients, config, spec, train, test, config.seed)
             rng = np.random.default_rng([config.seed, 2, 0, t])
             for _ in range(2):
                 order = rng.permutation(idx.shape[0])

@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedsparse
 from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, main
+from fedsparse.config import parse_config
+from fedsparse.federation import run_experiment
 from fedsparse.sparsify import SparseUpdate, encode
 
 
@@ -49,6 +54,30 @@ class TestRun:
         assert partitions[0] == "sample_index,client_id"
         assert len(partitions) == 1 + 48  # train split of 60 samples at 0.2
 
+    def test_partitions_csv_lists_every_sample_once(self, smoke_config):
+        path, doc = smoke_config
+        assert main(["run", str(path), "--quiet"]) == EXIT_OK
+        lines = open(os.path.join(doc["output_dir"], "partitions.csv")).read().splitlines()
+        assert lines[0] == "sample_index,client_id"
+        pairs = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        assert [i for i, _ in pairs] == list(range(48))  # sorted, each sample once
+        parts = run_experiment(parse_config(path)).partitions
+        lookup = {int(i): p.client_id for p in parts for i in p.sample_indices}
+        assert all(lookup[i] == c for i, c in pairs)
+
+    def test_run_loads_no_process_pool(self, smoke_config):
+        """Only `sweep --jobs N` needs multiprocessing; `run` does not import it."""
+        path, doc = smoke_config
+        script = ("import sys, fedsparse.cli\n"
+                  f"assert fedsparse.cli.main(['run', {str(path)!r}, '--quiet']) == 0\n"
+                  "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',"
+                  " 'socket', 'logging') if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(fedsparse.__file__))
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "[]"
+
     def test_rerun_is_byte_identical(self, smoke_config):
         path, doc = smoke_config
         assert main(["run", str(path)]) == EXIT_OK
@@ -64,7 +93,7 @@ class TestRun:
         assert lines[0].endswith(",elapsed_s")
         assert len(lines) == 3
 
-    def test_seed_env_override(self, smoke_config, monkeypatch):
+    def test_seed_env_override(self, smoke_config, monkeypatch, capsys):
         path, doc = smoke_config
         monkeypatch.setenv("FEDSPARSE_SEED", "99")
         assert main(["run", str(path)]) == EXIT_OK
@@ -72,6 +101,10 @@ class TestRun:
         assert summary["config"]["seed"] == 99
         monkeypatch.setenv("FEDSPARSE_SEED", "not-an-int")
         assert main(["run", str(path)]) == EXIT_USAGE
+        monkeypatch.setenv("FEDSPARSE_SEED", "-1")
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert "FEDSPARSE_SEED must be a non-negative integer, got '-1'" \
+            in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -126,6 +159,20 @@ class TestGenData:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"classses": 3}))
         assert main(["gen-data", str(spec), "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"classes": "3"}, "spec.classes: must be an integer"),
+        ({"per_class": 2.5}, "spec.per_class: must be an integer"),
+        ({"input_dim": True}, "spec.input_dim: must be an integer"),
+        ({"seed": -1}, "spec.seed: must be >= 0"),
+    ])
+    def test_ill_typed_value_named(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", str(path), "-o", str(out)]) == EXIT_USAGE
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -202,6 +249,22 @@ class TestSweep:
                                           "policy": ["top_k"]})
         assert main(["sweep", str(cfg), "--grid", str(grid), "--quiet"]) == \
             EXIT_RUNTIME
+
+    @pytest.mark.parametrize("grid,message", [
+        ({"alpha": 0.5, "rate": [0.3]}, "grid.alpha: must be a list of numbers"),
+        ({"alpha": [True], "rate": [0.3]}, "grid.alpha: must be a list of numbers"),
+        ({"alpha": [0.5], "rate": [0.3], "policy": "top_k"},
+         "grid.policy: must be a list of strings"),
+        ({"alpha": [0.5], "rate": ["x"]}, "grid.rate: must be a list of numbers"),
+    ])
+    def test_ill_typed_grid_value_named(self, smoke_config, tmp_path, capsys,
+                                        grid, message):
+        path, doc = smoke_config
+        grid_path = self.write_grid(tmp_path, grid)
+        assert main(["sweep", str(path), "--grid", str(grid_path), "--quiet"]) == \
+            EXIT_USAGE
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
 
     def test_parallel_jobs_match_serial(self, smoke_config, tmp_path):
         path, doc = smoke_config

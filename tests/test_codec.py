@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsparse.sparsify import (DecodeError, HEADER_BYTES, SparseUpdate, comm_bytes,
-                                decode, dense_update, encode, encoded_size,
+from fedsparse.sparsify import (DecodeError, HEADER_BYTES, SparseUpdate, decode,
+                                dense_update, encode, encoded_size,
                                 top_k_sparsify)
 
 
@@ -125,17 +125,22 @@ class TestDecodeErrors:
 
 
 class TestCommBytes:
+    """Communication is metered as encoded_size(entry count) per upload."""
+
     def test_three_identical_updates(self):
         u = SparseUpdate(1000, np.arange(100), np.ones(100))
-        assert comm_bytes([u, u, u]) == 3 * (27 + 800) == 2481
+        assert 3 * encoded_size(len(u)) == 3 * len(encode(u)) == 3 * (27 + 800) == 2481
 
     def test_empty_list(self):
-        assert comm_bytes([]) == 0
+        # empty index and value lists: the header is the whole message
+        u = SparseUpdate(1000, [], [])
+        assert len(encode(u)) == encoded_size(0) == HEADER_BYTES == 27
 
     def test_matches_actual_encode_lengths(self):
         rng = np.random.default_rng(4)
         updates = [random_update(rng) for _ in range(10)]
-        assert comm_bytes(updates) == sum(len(encode(u)) for u in updates)
+        assert ([encoded_size(len(u)) for u in updates]
+                == [len(encode(u)) for u in updates])
 
     def test_payload_ratio_scales_with_rate(self):
         d = 100000

@@ -1,11 +1,14 @@
 """Config parsing: defaults, named diagnostics, round trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from fedsparse.config import (ConfigError, SyntheticDataConfig, emit_config,
-                              parse_config, parse_config_dict)
+from fedsparse.config import (ConfigError, ExperimentConfig, ModelConfig,
+                              SyntheticDataConfig, emit_config, parse_config,
+                              parse_config_dict)
+from fedsparse.sparsify import SparsityPolicy
 
 MINIMAL = {
     "seed": 7,
@@ -113,6 +116,56 @@ class TestDiagnostics:
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config(bad)
+
+
+def _error(build) -> str:
+    with pytest.raises(ConfigError) as info:
+        build()
+    return str(info.value)
+
+
+class TestOneOwner:
+    """ExperimentConfig checks its own ranges, however it is built."""
+
+    @pytest.mark.parametrize("override", [
+        {"seed": -1}, {"clients": 0}, {"clients": 65536}, {"alpha": 0.0},
+        {"alpha": -1.0}, {"sparsify_site": "midway"}, {"rounds": 0},
+        {"rounds": 2 ** 32}, {"local_epochs": 0}, {"batch_size": 0},
+        {"participation": 0.0}, {"participation": 1.5}, {"test_fraction": 0.0},
+        {"test_fraction": 1.0},
+    ])
+    def test_replace_raises_the_parse_message(self, override):
+        base = parse_config_dict(dict(MINIMAL))
+        parsed = _error(lambda: parse_config_dict(dict(MINIMAL, **override)))
+        assert _error(lambda: replace(base, **override)) == parsed
+        assert parsed.startswith(f"{next(iter(override))}: must be")
+
+    def test_model_size_limit_on_replace(self):
+        base = parse_config_dict(dict(MINIMAL))
+        parsed = _error(lambda: parse_config_dict(dict(
+            MINIMAL, model={"hidden": [4]},
+            dataset={"kind": "synthetic", "input_dim": 2 ** 30 - 7, "classes": 5})))
+        assert _error(lambda: replace(
+            base, model=ModelConfig(hidden=(4,)),
+            dataset=SyntheticDataConfig(input_dim=2 ** 30 - 7, classes=5))) == parsed
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ConfigError, match=r"^batch_size: must be >= 1$"):
+            ExperimentConfig(seed=0, dataset=SyntheticDataConfig(),
+                             policy=SparsityPolicy("dense"), batch_size=0)
+
+    def test_learning_rate_zero_only_when_built_directly(self):
+        direct = ExperimentConfig(seed=0, dataset=SyntheticDataConfig(),
+                                  policy=SparsityPolicy("dense"), learning_rate=0.0)
+        assert direct.learning_rate == 0.0
+        assert replace(parse_config_dict(dict(MINIMAL)), learning_rate=0.0) \
+            .learning_rate == 0.0
+        with pytest.raises(ConfigError, match=r"^learning_rate: must be > 0$"):
+            parse_config_dict(dict(MINIMAL, learning_rate=0.0))
+        with pytest.raises(ConfigError, match=r"^learning_rate: must be > 0$"):
+            parse_config_dict(dict(MINIMAL, learning_rate=-0.5))
+        with pytest.raises(ConfigError, match=r"^learning_rate: must be >= 0$"):
+            replace(direct, learning_rate=-0.5)
 
 
 class TestRoundTrip:

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fedsparse.config import parse_config_dict
+from fedsparse.config import ExperimentConfig, SyntheticDataConfig, parse_config_dict
 from fedsparse.data import gen_synthetic
 from fedsparse.federation import (ClientState, ClientUpdate, ServerState,
-                                  TrainingConfig, TrainingDiverged, aggregate,
-                                  client_local_train, global_loss,
-                                  reconstruct_params, run_experiment, run_round)
+                                  TrainingDiverged, aggregate, client_local_train,
+                                  global_loss, reconstruct_params, run_experiment,
+                                  run_round)
 from fedsparse.model import ModelSpec, backward, init_params
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
@@ -24,13 +24,17 @@ def make_setup(n=30, input_dim=4, classes=3, seed=0):
 
 
 def single_client(ds):
-    part = Partition(0, np.arange(len(ds)), 1.0)
+    part = Partition(0, np.arange(len(ds)))
     return ClientState(0, part)
 
 
-def cfg_with(policy, site="uploaded_delta", lr=0.05, epochs=1, batch=8, rounds=1):
-    return TrainingConfig(rounds=rounds, local_epochs=epochs, learning_rate=lr,
-                          batch_size=batch, policy=policy, sparsify_site=site)
+def cfg_with(policy, site="uploaded_delta", lr=0.05, epochs=1, batch=8, rounds=1,
+             participation=1.0):
+    """A config built directly: the dataset and model fields are unused here."""
+    return ExperimentConfig(seed=0, dataset=SyntheticDataConfig(), policy=policy,
+                            rounds=rounds, local_epochs=epochs, learning_rate=lr,
+                            batch_size=batch, participation=participation,
+                            sparsify_site=site)
 
 
 class TestClientLocalTrain:
@@ -95,7 +99,7 @@ class TestClientLocalTrain:
 
     def test_empty_partition_rejected(self):
         ds, spec = make_setup()
-        client = ClientState(0, Partition(0, np.empty(0, dtype=np.int64), 0.0))
+        client = ClientState(0, Partition(0, np.empty(0, dtype=np.int64)))
         cfg = cfg_with(SparsityPolicy("dense"))
         with pytest.raises(ValueError, match="empty partition"):
             client_local_train(client, init_params(spec), cfg, spec, ds,
@@ -182,7 +186,7 @@ class TestGlobalLoss:
         ds, spec = make_setup(n=30)
         params = init_params(spec)
         full = np.arange(len(ds))
-        parts = [Partition(i, full, 1.0) for i in range(3)]
+        parts = [Partition(i, full) for i in range(3)]
         got = global_loss(spec, params, ds, parts)
         single = model_loss(spec, params, ds.inputs, ds.labels)
         assert got == pytest.approx(single, rel=1e-12)
@@ -191,8 +195,7 @@ class TestGlobalLoss:
         ds, spec = make_setup(n=40, seed=5)
         n = len(ds)
         params = init_params(spec)
-        parts = [Partition(0, np.arange(10), 10 / n),
-                 Partition(1, np.arange(10, n), (n - 10) / n)]
+        parts = [Partition(0, np.arange(10)), Partition(1, np.arange(10, n))]
         l0 = model_loss(spec, params, ds.inputs[:10], ds.labels[:10])
         l1 = model_loss(spec, params, ds.inputs[10:], ds.labels[10:])
         expected = (10 / n) * l0 + ((n - 10) / n) * l1
@@ -207,7 +210,7 @@ class TestGlobalLoss:
 
     def test_empty_partition_rejected(self):
         ds, spec = make_setup()
-        parts = [Partition(0, np.empty(0, dtype=np.int64), 0.0)]
+        parts = [Partition(0, np.empty(0, dtype=np.int64))]
         with pytest.raises(ValueError):
             global_loss(spec, init_params(spec), ds, parts)
 
@@ -220,8 +223,7 @@ def run_setup(policy, site="uploaded_delta", seed=11, n_clients=3, lr=0.05,
     parts = partition_dataset(ds.labels, n_clients, 0.5, rng_seed=seed)
     clients = [ClientState(p.client_id, p) for p in parts]
     server = ServerState(global_params=init_params(spec))
-    cfg = TrainingConfig(rounds=1, local_epochs=epochs, learning_rate=lr,
-                         batch_size=batch, policy=policy, sparsify_site=site)
+    cfg = cfg_with(policy, site=site, lr=lr, epochs=epochs, batch=batch)
     return ds, test, spec, clients, server, cfg
 
 
@@ -238,9 +240,7 @@ class TestRunRound:
 
     def test_fractional_participation_count(self):
         ds, test, spec, clients, server, cfg = run_setup(SparsityPolicy("dense"))
-        cfg = TrainingConfig(rounds=1, local_epochs=1, learning_rate=0.05,
-                             batch_size=8, policy=SparsityPolicy("dense"),
-                             participation=0.34)
+        cfg = cfg_with(SparsityPolicy("dense"), participation=0.34)
         metrics = run_round(server, clients, cfg, spec, ds, test, experiment_seed=1)
         d = server.global_params.shape[0]
         assert metrics.downlink_bytes == 2 * encoded_size(d)  # ceil(0.34 * 3)
@@ -284,8 +284,7 @@ class TestRunRound:
         else:
             policy = SparsityPolicy("dense")
         ds, test, spec, clients, server, cfg = run_setup(policy, site=site, lr=0.0)
-        cfg = TrainingConfig(rounds=1, local_epochs=2, learning_rate=0.0,
-                             batch_size=8, policy=policy, sparsify_site=site)
+        cfg = cfg_with(policy, site=site, lr=0.0, epochs=2)
         w0 = server.global_params.copy()
         run_round(server, clients, cfg, spec, ds, test, experiment_seed=3)
         assert np.array_equal(server.global_params, w0)

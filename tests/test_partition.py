@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from fedsparse.partition import (DirichletParams, _largest_remainder,
-                                 _sample_proportions, dirichlet_log_pdf,
-                                 export_assignments_csv, log_gamma,
+                                 _sample_proportions, dirichlet_log_pdf, log_gamma,
                                  partition_dataset, sample_dirichlet)
 
 
@@ -128,9 +127,9 @@ class TestPartitioning:
         parts = partition_dataset(labels, 1, 0.5, rng_seed=0)
         assert len(parts) == 1
         assert np.array_equal(parts[0].sample_indices, np.arange(300))
-        assert parts[0].weight == 1.0
+        assert len(parts[0]) == 300
 
-    def test_disjoint_cover_and_weights(self):
+    def test_disjoint_cover_and_sizes(self):
         labels = balanced_labels()
         parts = partition_dataset(labels, 3, 0.3, rng_seed=1)
         all_idx = np.concatenate([p.sample_indices for p in parts])
@@ -138,8 +137,8 @@ class TestPartitioning:
         assert len(set(all_idx)) == 300
         for p in parts:
             assert len(p) > 0
-            assert p.weight == len(p) / 300
-        assert abs(sum(p.weight for p in parts) - 1.0) < 1e-12
+        # aggregation weighs each client by len(p) / 300
+        assert sum(len(p) for p in parts) == 300
 
     def test_huge_alpha_balances(self):
         labels = balanced_labels(3, 300)
@@ -223,17 +222,3 @@ class TestLargestRemainder:
             assert counts.sum() == total
             assert np.all(counts >= 0)
             assert np.all(np.abs(counts - props * total) < 1.0)
-
-
-def test_export_assignments_csv(tmp_path):
-    labels = balanced_labels(2, 5)
-    parts = partition_dataset(labels, 2, 1.0, rng_seed=3)
-    path = tmp_path / "assignments.csv"
-    export_assignments_csv(parts, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "sample_index,client_id"
-    assert len(lines) == 11
-    pairs = [tuple(map(int, line.split(","))) for line in lines[1:]]
-    assert [p[0] for p in pairs] == list(range(10))
-    lookup = {int(i): p.client_id for p in parts for i in p.sample_indices}
-    assert all(lookup[i] == c for i, c in pairs)
