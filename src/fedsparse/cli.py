@@ -205,10 +205,12 @@ def _cmd_sweep(args) -> int:
     cells = list(enumerate(itertools.product(alphas, policies, rates)))
 
     outcomes: list[object] = []
-    if args.jobs > 1:
+    # every worker forks at the first submit, so never start more than cells
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
         # imported here so that `run` and serial sweeps load no process pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, base, out_root, i, alpha, kind, rate)
                        for i, (alpha, kind, rate) in cells]
             for fut in futures:
@@ -294,6 +296,16 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedsparse", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -310,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an alpha x policy x rate grid")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--grid", required=True, help="grid JSON file")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel cells")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
+                         help="parallel cells (at most one worker per cell)")
     p_sweep.add_argument("--out", default=None, help="output directory override")
     p_sweep.add_argument("--quiet", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -229,17 +229,23 @@ def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
 
 def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
                 partitions: list[Partition]) -> float:
-    """Weighted sum of per-client mean cross-entropy, weights |D_i| / |D|."""
+    """Weighted sum of per-client mean cross-entropy, weights |D_i| / |D|.
+
+    Every partition's rows are gathered at once and evaluated in one pass;
+    each client's mean loss has the bits of a loss call on its rows alone.
+    """
     if not partitions:
         raise ValueError("global_loss needs at least one partition")
-    total = sum(len(p) for p in partitions)
-    if any(len(p) == 0 for p in partitions):
+    sizes = [len(p) for p in partitions]
+    if min(sizes) == 0:
         raise ValueError("global_loss over an empty partition")
+    total = sum(sizes)
+    idx = np.concatenate([p.sample_indices for p in partitions])
+    means = model_ops.group_losses(model_spec, params, dataset.inputs[idx],
+                                   dataset.labels[idx], sizes)
     value = 0.0
-    for p in partitions:
-        idx = p.sample_indices
-        value += (len(p) / total) * model_ops.loss(
-            model_spec, params, dataset.inputs[idx], dataset.labels[idx])
+    for size, mean in zip(sizes, means):
+        value += (size / total) * mean
     return value
 
 

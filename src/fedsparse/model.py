@@ -14,6 +14,7 @@ batch, so a fixed sample order gives a bit-identical loss.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,8 @@ def _forward_cached(spec, layers, inputs):
     zs = []
     a = inputs
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = np.dot(a, w)
+        z += b
         zs.append(z)
         a = _activate(z, spec.activation) if i < len(layers) - 1 else z
         acts.append(a)
@@ -138,10 +140,10 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
     return acts[-1]
 
 
-def _sum_left_to_right(values: np.ndarray) -> float:
+def _sum_left_to_right(values: list[float]) -> float:
     # Fixed left-to-right accumulation: the documented summation order.
     total = 0.0
-    for v in values.tolist():
+    for v in values:
         total += v
     return total
 
@@ -155,6 +157,15 @@ def _check_labels(labels: np.ndarray, class_count: int, batch: int) -> np.ndarra
     return labels.astype(np.int64, copy=False)
 
 
+def _per_sample_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """-log softmax(logits)[label] of each row, max-subtracted for stability."""
+    m = logits.max(axis=1)
+    # sum includes exp(0) = 1 for the max term, so log(...) >= 0 and the
+    # per-sample loss is nonnegative in floating point as well.
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return lse - logits[np.arange(logits.shape[0]), labels]
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Batch mean of -log softmax(logits)[label], max-subtracted for stability."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -163,16 +174,42 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.shape[0] == 0:
         raise ValueError("cross_entropy of an empty batch")
     labels = _check_labels(labels, logits.shape[1], logits.shape[0])
-    m = logits.max(axis=1)
-    # sum includes exp(0) = 1 for the max term, so log(...) >= 0 and the
-    # per-sample loss is nonnegative in floating point as well.
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    per_sample = lse - logits[np.arange(logits.shape[0]), labels]
+    per_sample = _per_sample_losses(logits, labels).tolist()
     return _sum_left_to_right(per_sample) / logits.shape[0]
 
 
+def group_losses(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
+                 labels: np.ndarray, sizes) -> list[float]:
+    """Mean cross-entropy of each consecutive row group; group j is the
+    next sizes[j] rows of inputs and labels.
+
+    Equal, bit for bit, to calling loss on each group alone: inputs and
+    labels are checked and the parameters unpacked once, each group gets
+    its own forward pass, and the per-sample losses of all groups are
+    computed at once, then summed left to right within each group.
+    """
+    inputs = _check_inputs(spec, inputs)
+    if not sizes or min(sizes) < 1:
+        raise ValueError("loss needs at least one group and one row per group")
+    bounds = [0, *itertools.accumulate(sizes)]
+    if bounds[-1] != inputs.shape[0]:
+        raise ValueError(f"group sizes sum to {bounds[-1]}, inputs have "
+                         f"{inputs.shape[0]} rows")
+    labels = _check_labels(labels, spec.class_count, inputs.shape[0])
+    layers = unpack_params(spec, params)
+    # One forward pass per group: BLAS may round a product over another row
+    # count differently in the last bit. The loss itself is row-wise.
+    logits = np.concatenate([_forward_cached(spec, layers, inputs[lo:hi])[0][-1]
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+    per_sample = _per_sample_losses(logits, labels).tolist()
+    return [_sum_left_to_right(per_sample[lo:hi]) / (hi - lo)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
-    return cross_entropy(forward(spec, params, inputs), labels)
+    """Batch mean cross-entropy: group_losses with the whole batch as one group."""
+    inputs = _check_inputs(spec, inputs)
+    return group_losses(spec, params, inputs, labels, [inputs.shape[0]])[0]
 
 
 def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
@@ -193,16 +230,18 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grad_chunks: list[np.ndarray] = []
+    # Each layer's gradient is written in place into its slice of the flat
+    # vector; np.dot issues the same BLAS call as @, with less per-call work.
+    slices, total = _layout(spec.layer_sizes)
+    grad = np.empty(total)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grad_chunks.append(gb)
-        grad_chunks.append(gw.ravel())
+        w_start, b_start, end, n_in, n_out = slices[i]
+        np.dot(acts[i].T, delta, out=grad[w_start:b_start].reshape(n_in, n_out))
+        np.add.reduce(delta, axis=0, out=grad[b_start:end])
         if i > 0:
-            delta = (delta @ w.T) * _activate_grad(zs[i - 1], spec.activation)
-    return np.concatenate(grad_chunks[::-1])
+            delta = np.dot(delta, layers[i][0].T)
+            delta *= _activate_grad(zs[i - 1], spec.activation)
+    return grad
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
@@ -234,5 +273,6 @@ def evaluate(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     if inputs.shape[0] == 0:
         raise ValueError("evaluate over an empty dataset")
     labels = _check_labels(labels, spec.class_count, inputs.shape[0])
-    pred = np.argmax(forward(spec, params, inputs), axis=1)
+    acts, _ = _forward_cached(spec, unpack_params(spec, params), inputs)
+    pred = np.argmax(acts[-1], axis=1)
     return float(np.mean(pred == labels))

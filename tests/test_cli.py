@@ -277,3 +277,43 @@ class TestSweep:
         serial = open(os.path.join(tmp_path, "serial", "sweep.csv")).read()
         par = open(os.path.join(tmp_path, "par", "sweep.csv")).read()
         assert serial == par
+
+    def test_jobs_capped_at_cell_count(self, smoke_config, tmp_path, monkeypatch):
+        """--jobs 64 on two cells asks for two workers; the recorder starts none."""
+        import concurrent.futures
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        path, _ = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8], "rate": [0.2],
+                                          "policy": ["top_k"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--jobs", "64"]) == EXIT_OK
+        assert requested == [2]
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3 and all(r.endswith(",ok") for r in rows[1:])
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_is_usage_error(self, smoke_config, tmp_path, capsys, jobs):
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.4], "rate": [0.2],
+                                          "policy": ["top_k"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--jobs", jobs]) == EXIT_USAGE
+        assert "argument --jobs: must be" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])

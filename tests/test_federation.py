@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsparse.config import ExperimentConfig, SyntheticDataConfig, parse_config_dict
-from fedsparse.data import gen_synthetic
+from fedsparse.data import Dataset, gen_synthetic
 from fedsparse.federation import (ClientState, ClientUpdate, ServerState,
                                   TrainingDiverged, aggregate, client_local_train,
                                   global_loss, reconstruct_params, run_experiment,
                                   run_round)
-from fedsparse.model import ModelSpec, backward, init_params
+from fedsparse.model import (ModelSpec, backward, group_losses, init_params, param_count,
+                             unpack_params)
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
 from fedsparse.sparsify import SparsityPolicy, encoded_size
@@ -181,7 +184,91 @@ class TestAggregate:
         assert np.allclose(out, [1.5, 2.0, 2.75, 4.0])
 
 
+def reference_logits(spec, params, inputs):
+    """The forward pass as it stood before pooled evaluation: one `@`
+    product chain over exactly these rows."""
+    a = inputs
+    layers = unpack_params(spec, params)
+    for i, (w, b) in enumerate(layers):
+        a = a @ w + b
+        if i < len(layers) - 1:
+            a = np.maximum(a, 0.0) if spec.activation == "relu" else np.tanh(a)
+    return a
+
+
+def reference_mean_loss(logits, labels):
+    """Max-subtracted log-sum-exp cross-entropy, summed left to right."""
+    m = logits.max(axis=1)
+    per_sample = (m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+                  - logits[np.arange(len(labels)), labels])
+    total = 0.0
+    for v in per_sample.tolist():
+        total += v
+    return total / len(labels)
+
+
+def reference_global_loss(spec, params, ds, parts):
+    """sum_i (n_i / n) * loss(partition_i), one loss call per partition in order."""
+    n = sum(len(p) for p in parts)
+    value = 0.0
+    for p in parts:
+        idx = p.sample_indices
+        logits = reference_logits(spec, params, ds.inputs[idx])
+        value += (len(p) / n) * reference_mean_loss(logits, ds.labels[idx])
+    return value
+
+
+def consecutive_partitions(sizes, seed):
+    """Disjoint partitions of the given sizes over a shuffled index range."""
+    order = np.random.default_rng(seed).permutation(sum(sizes))
+    bounds = np.cumsum([0, *sizes])
+    return [Partition(i, order[lo:hi]) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+
 class TestGlobalLoss:
+    @given(st.sampled_from(["relu", "tanh"]),
+           st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           st.integers(1, 12), st.integers(2, 5),
+           st.lists(st.sampled_from([1, 1, 2, 3, 8, 17]), min_size=1, max_size=8),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_per_partition_loss(self, activation, hidden, d, c,
+                                                 sizes, seed):
+        spec = ModelSpec((d, *hidden, c), activation=activation, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = init_params(spec) + 0.1 * rng.standard_normal(param_count(spec))
+        n = sum(sizes)
+        ds = Dataset(rng.standard_normal((n, d)), rng.integers(0, c, size=n), c)
+        parts = consecutive_partitions(sizes, seed)
+        assert global_loss(spec, params, ds, parts) == \
+            reference_global_loss(spec, params, ds, parts)
+
+    def test_per_partition_products_matter_at_width_256(self):
+        """At input_dim 256 one product over every partition's rows rounds
+        differently from one product per partition, and several partitions'
+        mean losses change with it; global_loss keeps the per-partition bits."""
+        rng = np.random.default_rng(3)
+        spec = ModelSpec((256, 256, 10), seed=3)
+        params = init_params(spec)
+        sizes = [1, 7, 25, 1, 2, 40, 1, 23, 1, 1]
+        n = sum(sizes)
+        ds = Dataset(rng.standard_normal((n, 256)), rng.integers(0, 10, size=n), 10)
+        parts = consecutive_partitions(sizes, 3)
+        assert global_loss(spec, params, ds, parts) == \
+            reference_global_loss(spec, params, ds, parts)
+
+        idx = np.concatenate([p.sample_indices for p in parts])
+        inputs, labels = ds.inputs[idx], ds.labels[idx]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        groups = list(zip(bounds, bounds[1:]))
+        own = [reference_mean_loss(reference_logits(spec, params, inputs[lo:hi]),
+                                   labels[lo:hi]) for lo, hi in groups]
+        assert group_losses(spec, params, inputs, labels, sizes) == own
+        pooled_logits = reference_logits(spec, params, inputs)  # one product chain
+        pooled = [reference_mean_loss(pooled_logits[lo:hi], labels[lo:hi])
+                  for lo, hi in groups]
+        assert pooled != own
+
     def test_identical_partitions_equal_single_loss(self):
         ds, spec = make_setup(n=30)
         params = init_params(spec)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsparse.model import (ModelSpec, backward, cross_entropy, evaluate,
-                             finite_diff_grad, forward, init_params, loss,
-                             param_count, unpack_params)
+                             finite_diff_grad, forward, group_losses, init_params,
+                             loss, param_count, unpack_params)
 
 
 def rel_err(a, b, guard=1e-3):
@@ -273,6 +273,31 @@ class TestBackward:
         X[rng.random(n) < 0.3] = 0.0
         assert np.array_equal(backward(spec, params, X, y),
                               reference_backward(spec, params, X, y))
+
+    @pytest.mark.parametrize("n", [32, 25, 7, 1])
+    def test_bit_identical_to_reference_backward_at_wide_shape(self, n):
+        """Widths the hypothesis test above never reaches, where OpenBLAS
+        leaves its small-matrix path."""
+        spec = ModelSpec((256, 256, 64, 10), seed=n)
+        params = init_params(spec)
+        X, y = random_batch(spec, n, seed=n)
+        X[::3] = 0.0  # zero rows: pre-activations of exactly 0.0
+        assert np.array_equal(backward(spec, params, X, y),
+                              reference_backward(spec, params, X, y))
+
+
+class TestGroupLosses:
+    @pytest.mark.parametrize("sizes", [[], [4, 0, 6], [3, 3], [5, 6]])
+    def test_bad_group_sizes_rejected(self, sizes):
+        spec = ModelSpec((4, 3))
+        X, y = random_batch(spec, 10, seed=1)
+        with pytest.raises(ValueError):
+            group_losses(spec, init_params(spec), X, y, sizes)
+
+    def test_empty_batch_loss_rejected(self):
+        spec = ModelSpec((2, 2))
+        with pytest.raises(ValueError):
+            loss(spec, init_params(spec), np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestFiniteDiff:
