@@ -12,10 +12,8 @@ from .data import Dataset, NormStats, gen_synthetic, load_csv, normalize, save_c
 from .federation import (ClientState, ClientUpdate, ExperimentResult, RoundMetrics,
                          ServerState, TrainingDiverged, aggregate, client_local_train,
                          global_loss, run_experiment, run_round)
-from .model import (ModelSpec, backward, cross_entropy, evaluate, finite_diff_grad,
-                    forward, init_params, param_count)
-from .partition import (DirichletParams, Partition, dirichlet_log_pdf, log_gamma,
-                        partition_dataset, sample_dirichlet)
+from .model import ModelSpec, backward, evaluate, forward, init_params, param_count
+from .partition import Partition, partition_dataset
 # The `sparsify` function is not re-exported: it would hide the submodule
 # of the same name (`from fedsparse import sparsify` is the module).
 from .sparsify import (DecodeError, SparseUpdate, SparsityPolicy, decode, densify,

@@ -19,15 +19,15 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, _check_keys, _get, _get_list,
-                     _parse_synthetic, _require, emit_config, parse_config)
+from .config import (ConfigError, ExperimentConfig, SyntheticDataConfig, _build,
+                     _check_keys, _parse_policy, _require, _typed, _typed_list,
+                     emit_config, parse_config)
 from .data import gen_synthetic, save_csv
 from .federation import ExperimentResult, RoundMetrics, run_experiment
-from .sparsify import DecodeError, SparsityPolicy, decode
+from .sparsify import POLICY_KINDS, DecodeError, SparsityPolicy, decode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,9 +51,11 @@ class _Parser(argparse.ArgumentParser):
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # a plain open, so the file gets 0o666 & ~umask like any other output;
+    # the pid keeps two processes writing the same path off one temp file
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.path.basename(path)}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -132,11 +134,10 @@ def _cmd_run(args) -> int:
 
 
 def _policy_for_cell(kind: str, rate: float) -> SparsityPolicy:
-    if kind in ("top_k", "random"):
-        return SparsityPolicy(kind=kind, rate=rate)
-    if kind == "threshold":
-        return SparsityPolicy(kind=kind, tau=rate)
-    return SparsityPolicy(kind="dense")
+    """The cell's policy, checked as a config's would be; a threshold cell
+    takes the grid rate as tau, a dense cell ignores it."""
+    params = {"dense": {}, "threshold": {"tau": rate}}.get(kind, {"rate": rate})
+    return _parse_policy({"kind": kind, **params})
 
 
 def _load_grid(path) -> tuple[list[float], list[str], list[float]]:
@@ -149,13 +150,13 @@ def _load_grid(path) -> tuple[list[float], list[str], list[float]]:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     _require(isinstance(obj, dict), "grid", "must be a JSON object")
     _check_keys(obj, {"alpha", "policy", "rate"}, "grid")
-    alphas = _get_list(obj, "alpha", [], float, "grid.alpha")
-    policies = _get_list(obj, "policy", ["top_k"], str, "grid.policy")
-    rates = _get_list(obj, "rate", [], float, "grid.rate")
+    alphas = _typed_list(obj.get("alpha", []), float, "grid.alpha")
+    policies = _typed_list(obj.get("policy", ["top_k"]), str, "grid.policy")
+    rates = _typed_list(obj.get("rate", []), float, "grid.rate")
     if not alphas or not rates or not policies:
         raise ConfigError("grid: alpha, policy and rate lists must be nonempty")
     for kind in policies:
-        if kind not in ("top_k", "threshold", "random", "dense"):
+        if kind not in POLICY_KINDS:
             raise ConfigError(f"grid.policy: unknown kind {kind!r}")
     return alphas, policies, rates
 
@@ -281,11 +282,8 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError(f"spec file not found: {args.spec}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from None
-    _require(isinstance(obj, dict), "gen-data spec", "must be a JSON object")
-    _check_keys(obj, {"classes", "per_class", "input_dim", "separation", "seed"},
-                "gen-data spec")
-    data = _parse_synthetic(obj, "spec")
-    seed = _get(obj, "seed", 0, int, "spec.seed")
+    data = _build(SyntheticDataConfig, obj, "spec", extra={"seed"})
+    seed = _typed(obj.get("seed", 0), int, "spec.seed")
     _require(seed >= 0, "spec.seed", "must be >= 0")
     ds = gen_synthetic(data.classes, data.per_class, data.input_dim, data.separation,
                        rng_seed=seed)

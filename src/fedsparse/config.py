@@ -5,35 +5,48 @@ A config file is a single JSON object. Only "seed", "dataset" and
 rejected by name, invalid values are rejected with the field path and
 the violated constraint.
 
-Schema (defaults in parentheses):
+The config types own the schema: their fields are the keys, their field
+defaults the defaults and their __post_init__ the range rules, so a
+config built in code is checked like a parsed one. The parser checks only
+the JSON shape (types, presence, unknown keys), builds each type from the
+keys present, and prefixes a nested type's errors with its section.
 
-    seed            integer
-    dataset         {"kind": "synthetic", "classes" (3), "per_class" (100),
-                     "input_dim" (8), "separation" (3.0)}
+Schema (the type that owns each part in parentheses):
+
+    seed, clients, alpha, sparsify_site, rounds, local_epochs,
+    learning_rate, batch_size, participation, test_fraction, output_dir
+                    (ExperimentConfig)
+    dataset         {"kind": "synthetic", "classes", "per_class", "input_dim",
+                     "separation"}                    (SyntheticDataConfig)
                   | {"kind": "csv", "path", "input_dim", "classes",
-                     "normalize" (false), "skip_header" (false)}
-    model           {"hidden" ([16]), "activation" ("relu")}
+                     "normalize", "skip_header"}      (CsvDataConfig)
+    model           {"hidden", "activation"}          (ModelConfig)
     policy          {"kind": "top_k"|"random", "rate"}
                   | {"kind": "threshold", "tau"}
-                  | {"kind": "dense"}
-    clients         (3)      sparsify_site   ("uploaded_delta" | "local_gradient")
-    alpha           (0.3)    rounds          (200)
-    local_epochs    (5)      learning_rate   (0.01)
-    batch_size      (32)     participation   (1.0)
-    test_fraction   (0.2)    output_dir      ("out")
+                  | {"kind": "dense"}                 (sparsify.SparsityPolicy)
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .model import ModelSpec, param_count
+from .model import ACTIVATIONS, ModelSpec, param_count
 from .sparsify import MAX_CLIENT_ID, MAX_INDEX, MAX_ROUND, SparsityPolicy
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+def _require(cond: bool, path: str, constraint: str):
+    if not cond:
+        raise ConfigError(f"{path}: {constraint}")
+
+
+def _check_task(classes: int, input_dim: int):
+    _require(classes >= 2, "classes", "must be >= 2")
+    _require(input_dim >= 1, "input_dim", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,11 @@ class SyntheticDataConfig:
     separation: float = 3.0
 
     kind = "synthetic"
+
+    def __post_init__(self):
+        _check_task(self.classes, self.input_dim)
+        _require(self.per_class >= 1, "per_class", "must be >= 1")
+        _require(self.separation >= 0, "separation", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -56,11 +74,20 @@ class CsvDataConfig:
 
     kind = "csv"
 
+    def __post_init__(self):
+        _check_task(self.classes, self.input_dim)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     hidden: tuple[int, ...] = (16,)
     activation: str = "relu"
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        _require(all(h >= 1 for h in self.hidden), "hidden", "every width must be >= 1")
+        _require(self.activation in ACTIVATIONS, "activation",
+                 "must be " + " or ".join(map(repr, ACTIVATIONS)))
 
 
 @dataclass(frozen=True)
@@ -107,11 +134,6 @@ class ExperimentConfig:
                  f"(the FSU1 index is a u32)")
 
 
-def _require(cond: bool, path: str, constraint: str):
-    if not cond:
-        raise ConfigError(f"{path}: {constraint}")
-
-
 def _check_keys(obj: dict, allowed: set[str], section: str):
     for key in obj:
         if key not in allowed:
@@ -129,124 +151,76 @@ def _is(value, types) -> bool:
     return isinstance(value, (int, float) if types is float else types)
 
 
-def _get(obj: dict, key: str, default, types, path: str):
-    if key not in obj:
-        return default
-    value = obj[key]
+def _typed(value, types, path: str):
     _require(_is(value, types), path, f"must be {_TYPE_NAMES[types][0]}")
     return float(value) if types is float else value
 
 
-def _get_list(obj: dict, key: str, default: list, types, path: str) -> list:
-    values = obj.get(key, default)
+def _typed_list(values, types, path: str) -> list:
     _require(isinstance(values, list) and all(_is(v, types) for v in values),
              path, f"must be a list of {_TYPE_NAMES[types][1]}")
     return [float(v) for v in values] if types is float else values
 
 
-def _parse_synthetic(obj: dict, section: str) -> SyntheticDataConfig:
-    """Typed, range-checked synthetic-dataset fields; paths are section.key."""
-    cfg = SyntheticDataConfig(
-        classes=_get(obj, "classes", 3, int, f"{section}.classes"),
-        per_class=_get(obj, "per_class", 100, int, f"{section}.per_class"),
-        input_dim=_get(obj, "input_dim", 8, int, f"{section}.input_dim"),
-        separation=_get(obj, "separation", 3.0, float, f"{section}.separation"),
-    )
-    _require(cfg.classes >= 2, f"{section}.classes", "must be >= 2")
-    _require(cfg.per_class >= 1, f"{section}.per_class", "must be >= 1")
-    _require(cfg.input_dim >= 1, f"{section}.input_dim", "must be >= 1")
-    _require(cfg.separation >= 0, f"{section}.separation", "must be >= 0")
-    return cfg
+# JSON type of each scalar field annotation the config types use
+_SCALARS = {"int": int, "float": float, "float | None": float, "str": str, "bool": bool}
+
+
+def _present_fields(cls, obj: dict, section: str, extra=(), nested=None) -> dict:
+    """Type-checked values of the fields of cls whose keys obj has; a
+    missing key without a dataclass default is an error. nested[key]
+    parses a field that is itself a config type."""
+    _check_keys(obj, {f.name for f in fields(cls)} | set(extra), section)
+    values = {}
+    for f in fields(cls):
+        path = f"{section}.{f.name}" if section else f.name
+        if f.name not in obj:
+            _require(f.default is not MISSING or f.default_factory is not MISSING,
+                     path, "is required")
+        elif nested and f.name in nested:
+            values[f.name] = nested[f.name](obj[f.name])
+        elif f.type == "tuple[int, ...]":
+            values[f.name] = _typed_list(obj[f.name], int, path)
+        else:
+            values[f.name] = _typed(obj[f.name], _SCALARS[f.type], path)
+    return values
+
+
+def _build(cls, obj, section: str, extra=()):
+    """cls from the keys present in the JSON object obj; its own range
+    errors come back as section.field: constraint."""
+    _require(isinstance(obj, dict), section, "must be an object")
+    values = _present_fields(cls, obj, section, extra)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def _parse_dataset(obj) -> SyntheticDataConfig | CsvDataConfig:
     _require(isinstance(obj, dict), "dataset", "must be an object")
-    kind = obj.get("kind", "synthetic")
-    if kind == "synthetic":
-        _check_keys(obj, {"kind", "classes", "per_class", "input_dim", "separation"},
-                    "dataset")
-        return _parse_synthetic(obj, "dataset")
-    if kind == "csv":
-        _check_keys(obj, {"kind", "path", "input_dim", "classes", "normalize",
-                          "skip_header"}, "dataset")
-        _require("path" in obj, "dataset.path", "is required for csv datasets")
-        _require("input_dim" in obj, "dataset.input_dim", "is required for csv datasets")
-        _require("classes" in obj, "dataset.classes", "is required for csv datasets")
-        cfg = CsvDataConfig(
-            path=_get(obj, "path", None, str, "dataset.path"),
-            input_dim=_get(obj, "input_dim", None, int, "dataset.input_dim"),
-            classes=_get(obj, "classes", None, int, "dataset.classes"),
-            normalize=_get(obj, "normalize", False, bool, "dataset.normalize"),
-            skip_header=_get(obj, "skip_header", False, bool, "dataset.skip_header"),
-        )
-        _require(cfg.classes >= 2, "dataset.classes", "must be >= 2")
-        _require(cfg.input_dim >= 1, "dataset.input_dim", "must be >= 1")
-        return cfg
+    kind = obj.get("kind", SyntheticDataConfig.kind)
+    for cls in (SyntheticDataConfig, CsvDataConfig):
+        if kind == cls.kind:
+            return _build(cls, obj, "dataset", extra={"kind"})
     raise ConfigError(f"dataset.kind: must be 'synthetic' or 'csv', got {kind!r}")
 
 
-def _parse_model(obj) -> ModelConfig:
-    _require(isinstance(obj, dict), "model", "must be an object")
-    _check_keys(obj, {"hidden", "activation"}, "model")
-    hidden = _get_list(obj, "hidden", [16], int, "model.hidden")
-    _require(all(h >= 1 for h in hidden), "model.hidden", "every width must be >= 1")
-    activation = _get(obj, "activation", "relu", str, "model.activation")
-    _require(activation in ("relu", "tanh"), "model.activation",
-             "must be 'relu' or 'tanh'")
-    return ModelConfig(hidden=tuple(hidden), activation=activation)
-
-
 def _parse_policy(obj) -> SparsityPolicy:
-    _require(isinstance(obj, dict), "policy", "must be an object")
-    _check_keys(obj, {"kind", "rate", "tau"}, "policy")
-    kind = obj.get("kind")
-    _require(kind in ("top_k", "threshold", "random", "dense"), "policy.kind",
-             "must be one of 'top_k', 'threshold', 'random', 'dense'")
-    if kind in ("top_k", "random"):
-        _require("rate" in obj, "policy.rate", f"is required for {kind}")
-        rate = _get(obj, "rate", None, float, "policy.rate")
-        _require(0.0 < rate <= 1.0, "policy.rate", "must be in (0, 1]")
-        return SparsityPolicy(kind=kind, rate=rate)
-    if kind == "threshold":
-        _require("tau" in obj, "policy.tau", "is required for threshold")
-        tau = _get(obj, "tau", None, float, "policy.tau")
-        _require(tau >= 0.0, "policy.tau", "must be >= 0")
-        return SparsityPolicy(kind=kind, tau=tau)
-    _require(not obj.keys() - {"kind"}, "policy", "dense takes no parameters")
-    return SparsityPolicy(kind="dense")
-
-
-_TOP_KEYS = {
-    "seed", "dataset", "model", "policy", "clients", "alpha", "sparsify_site",
-    "rounds", "local_epochs", "learning_rate", "batch_size", "participation",
-    "test_fraction", "output_dir",
-}
+    return _build(SparsityPolicy, obj, "policy")
 
 
 def parse_config_dict(obj: dict) -> ExperimentConfig:
     _require(isinstance(obj, dict), "config", "must be a JSON object")
-    _check_keys(obj, _TOP_KEYS, "")
-    for required in ("seed", "dataset", "policy"):
-        _require(required in obj, required, "is required")
-    fields = dict(
-        seed=_get(obj, "seed", None, int, "seed"),
-        dataset=_parse_dataset(obj["dataset"]),
-        policy=_parse_policy(obj["policy"]),
-        model=_parse_model(obj.get("model", {})),
-        clients=_get(obj, "clients", 3, int, "clients"),
-        alpha=_get(obj, "alpha", 0.3, float, "alpha"),
-        sparsify_site=_get(obj, "sparsify_site", "uploaded_delta", str, "sparsify_site"),
-        rounds=_get(obj, "rounds", 200, int, "rounds"),
-        local_epochs=_get(obj, "local_epochs", 5, int, "local_epochs"),
-        learning_rate=_get(obj, "learning_rate", 0.01, float, "learning_rate"),
-        batch_size=_get(obj, "batch_size", 32, int, "batch_size"),
-        participation=_get(obj, "participation", 1.0, float, "participation"),
-        test_fraction=_get(obj, "test_fraction", 0.2, float, "test_fraction"),
-        output_dir=_get(obj, "output_dir", "out", str, "output_dir"),
-    )
+    values = _present_fields(ExperimentConfig, obj, "", nested={
+        "dataset": _parse_dataset,
+        "policy": _parse_policy,
+        "model": lambda model: _build(ModelConfig, model, "model"),
+    })
     # a run needs lr > 0; ExperimentConfig itself also accepts 0
-    _require(fields["learning_rate"] > 0, "learning_rate", "must be > 0")
-    return ExperimentConfig(**fields)
+    _require(values.get("learning_rate", ExperimentConfig.learning_rate) > 0,
+             "learning_rate", "must be > 0")
+    return ExperimentConfig(**values)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -262,41 +236,9 @@ def parse_config(path) -> ExperimentConfig:
 
 def emit_config(cfg: ExperimentConfig) -> dict:
     """Round-trippable plain-dict form: parse_config_dict(emit_config(c)) == c."""
-    if isinstance(cfg.dataset, SyntheticDataConfig):
-        dataset = {
-            "kind": "synthetic",
-            "classes": cfg.dataset.classes,
-            "per_class": cfg.dataset.per_class,
-            "input_dim": cfg.dataset.input_dim,
-            "separation": cfg.dataset.separation,
-        }
-    else:
-        dataset = {
-            "kind": "csv",
-            "path": cfg.dataset.path,
-            "input_dim": cfg.dataset.input_dim,
-            "classes": cfg.dataset.classes,
-            "normalize": cfg.dataset.normalize,
-            "skip_header": cfg.dataset.skip_header,
-        }
-    policy: dict = {"kind": cfg.policy.kind}
-    if cfg.policy.kind in ("top_k", "random"):
-        policy["rate"] = cfg.policy.rate
-    elif cfg.policy.kind == "threshold":
-        policy["tau"] = cfg.policy.tau
-    return {
-        "seed": cfg.seed,
-        "dataset": dataset,
-        "model": {"hidden": list(cfg.model.hidden), "activation": cfg.model.activation},
-        "policy": policy,
-        "clients": cfg.clients,
-        "alpha": cfg.alpha,
-        "sparsify_site": cfg.sparsify_site,
-        "rounds": cfg.rounds,
-        "local_epochs": cfg.local_epochs,
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "participation": cfg.participation,
-        "test_fraction": cfg.test_fraction,
-        "output_dir": cfg.output_dir,
-    }
+    doc = asdict(cfg)
+    doc["dataset"]["kind"] = cfg.dataset.kind
+    doc["model"]["hidden"] = list(cfg.model.hidden)
+    doc["policy"] = {key: value for key, value in doc["policy"].items()
+                     if value is not None}
+    return doc

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SyntheticDataConfig
+
 
 @dataclass
 class Dataset:
@@ -56,14 +58,7 @@ def gen_synthetic(classes: int, per_class: int, input_dim: int,
     orthonormal when input_dim >= classes (QR of a seeded Gaussian
     matrix), otherwise plain normalized Gaussian directions.
     """
-    if classes < 2:
-        raise ValueError("need at least two classes")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if input_dim < 1:
-        raise ValueError("input_dim must be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
+    SyntheticDataConfig(classes, per_class, input_dim, separation)  # range checks
     rng = np.random.default_rng(rng_seed)
     raw = rng.standard_normal((input_dim, classes)) if input_dim >= classes else None
     if raw is not None:

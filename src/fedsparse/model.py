@@ -157,25 +157,24 @@ def _check_labels(labels: np.ndarray, class_count: int, batch: int) -> np.ndarra
     return labels.astype(np.int64, copy=False)
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """The max of each row, as a left-to-right np.maximum fold over the
+    columns: one call per column, where logits.max(axis=1) runs numpy's
+    reduce loop once per row. Same values; only the sign of a zero maximum
+    may differ, and x - 0.0 and x - -0.0 have the same exp."""
+    m = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(m, logits[:, j], out=m)
+    return m
+
+
 def _per_sample_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """-log softmax(logits)[label] of each row, max-subtracted for stability."""
-    m = logits.max(axis=1)
+    m = _row_max(logits)
     # sum includes exp(0) = 1 for the max term, so log(...) >= 0 and the
     # per-sample loss is nonnegative in floating point as well.
     lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
     return lse - logits[np.arange(logits.shape[0]), labels]
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Batch mean of -log softmax(logits)[label], max-subtracted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-d, got shape {logits.shape}")
-    if logits.shape[0] == 0:
-        raise ValueError("cross_entropy of an empty batch")
-    labels = _check_labels(labels, logits.shape[1], logits.shape[0])
-    per_sample = _per_sample_losses(logits, labels).tolist()
-    return _sum_left_to_right(per_sample) / logits.shape[0]
 
 
 def group_losses(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
@@ -241,28 +240,6 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
         if i > 0:
             delta = np.dot(delta, layers[i][0].T)
             delta *= _activate_grad(zs[i - 1], spec.activation)
-    return grad
-
-
-def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-                     labels: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient, (L(w + s*e_j) - L(w - s*e_j)) / 2s per coordinate.
-
-    Test oracle; O(d) loss evaluations, use on small models only.
-    """
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    work = params.copy()
-    for j in range(params.shape[0]):
-        orig = work[j]
-        work[j] = orig + step
-        up = loss(spec, work, inputs, labels)
-        work[j] = orig - step
-        down = loss(spec, work, inputs, labels)
-        work[j] = orig
-        grad[j] = (up - down) / (2.0 * step)
     return grad
 
 

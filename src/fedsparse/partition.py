@@ -1,4 +1,4 @@
-"""Dirichlet sampling, its log-density, and label-skew dataset partitioning.
+"""Dirichlet sampling and label-skew dataset partitioning.
 
 Client heterogeneity is simulated the usual way: for every class, a
 proportion vector over the clients is drawn from a symmetric Dirichlet
@@ -6,10 +6,9 @@ with concentration alpha, and that class's samples are dealt out
 accordingly. Small alpha concentrates each class on few clients; large
 alpha approaches a balanced split.
 
-The Gamma/Dirichlet sampler and log-Gamma are implemented here rather
-than taken from a library: Gamma variates via the Marsaglia-Tsang
-squeeze method (with the u^(1/a) boost for shape < 1), log-Gamma via the
-9-coefficient Lanczos approximation with reflection for x < 0.5.
+The Gamma/Dirichlet sampler is implemented here rather than taken from a
+library: Gamma variates via the Marsaglia-Tsang squeeze method (with the
+u^(1/a) boost for shape < 1).
 """
 
 from __future__ import annotations
@@ -18,54 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Lanczos g=7, n=9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_2PI = 0.9189385332046727
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, Lanczos approximation."""
-    if x <= 0:
-        raise ValueError(f"log_gamma needs x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    x -= 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (x + 0.5) * math.log(t) - t + math.log(series)
-
-
-@dataclass(frozen=True)
-class DirichletParams:
-    """Concentration vector; every entry strictly positive, length >= 2."""
-
-    alpha: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.alpha) < 2:
-            raise ValueError("need at least two components")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError("every concentration must be > 0")
-
-    @classmethod
-    def symmetric(cls, alpha: float, k: int) -> "DirichletParams":
-        return cls((float(alpha),) * k)
 
 
 def _gamma_draw(shape: float, rng: np.random.Generator) -> float:
@@ -92,39 +43,23 @@ def _gamma_draw(shape: float, rng: np.random.Generator) -> float:
             return d * v
 
 
+# A draw whose Gammas all underflow to 0 is redrawn. Each try costs one
+# variate per client, so the cap is on variates: the chance that a tiny
+# alpha gives up then depends on alpha alone, not on the client count.
+_MAX_VARIATES = 30_000
+
+
 def _sample_proportions(alpha, rng: np.random.Generator) -> np.ndarray:
-    gammas = np.array([_gamma_draw(a, rng) for a in alpha])
-    total = gammas.sum()
-    while total == 0.0:  # underflow guard for very small alphas
+    """Dirichlet(alpha) draw by Gamma normalization: G_i ~ Gamma(alpha_i, 1),
+    returned as G / sum(G)."""
+    tries = max(1, _MAX_VARIATES // len(alpha))
+    for _ in range(tries):
         gammas = np.array([_gamma_draw(a, rng) for a in alpha])
         total = gammas.sum()
-    return gammas / total
-
-
-def sample_dirichlet(params: DirichletParams, rng_seed) -> np.ndarray:
-    """Gamma-normalization draw: G_i ~ Gamma(alpha_i, 1), return G / sum(G)."""
-    return _sample_proportions(params.alpha, np.random.default_rng(rng_seed))
-
-
-def dirichlet_log_pdf(params: DirichletParams, x) -> float:
-    """Log-density sum((alpha_i - 1) ln x_i) - ln B(alpha), with
-    ln B(alpha) = sum(ln Gamma(alpha_i)) - ln Gamma(sum(alpha))."""
-    alpha = np.asarray(params.alpha)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != alpha.shape:
-        raise ValueError(f"x has shape {x.shape}, alpha has shape {alpha.shape}")
-    if np.any(x < 0):
-        raise ValueError("proportions must be nonnegative")
-    if abs(x.sum() - 1.0) > 1e-9:
-        raise ValueError(f"proportions sum to {x.sum()!r}, not 1 within 1e-9")
-    if np.any((x == 0) & (alpha < 1)):
-        raise ValueError("zero proportion with concentration < 1 has unbounded density")
-    log_beta = sum(log_gamma(a) for a in alpha) - log_gamma(float(alpha.sum()))
-    total = -log_beta
-    for a, xi in zip(alpha, x):
-        if a != 1.0:  # skip exponent-zero terms so x_i = 0 stays well-defined
-            total += (a - 1.0) * math.log(xi) if xi > 0 else -math.inf
-    return total
+        if total != 0.0:
+            return gammas / total
+    raise ValueError(f"alpha: {min(alpha)!r} is too small, every Gamma draw "
+                     f"underflowed to 0 in {tries} tries")
 
 
 @dataclass

@@ -95,13 +95,16 @@ class SparseUpdate:
         )
 
 
+POLICY_KINDS = ("top_k", "threshold", "random", "dense")
+
+
 @dataclass(frozen=True)
 class SparsityPolicy:
     """Which sparsifier to run and with what parameter.
 
-    kind "top_k" and "random" use `rate` (the retained fraction K in
-    (0, 1]); kind "threshold" uses `tau` (>= 0); kind "dense" keeps
-    everything and ignores both.
+    kind "top_k" and "random" take `rate` (the retained fraction K in
+    (0, 1]); kind "threshold" takes `tau` (>= 0); kind "dense" keeps
+    everything and takes neither. Errors read "field: constraint".
     """
 
     kind: str
@@ -109,22 +112,30 @@ class SparsityPolicy:
     tau: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("top_k", "threshold", "random", "dense"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind in ("top_k", "random"):
-            if self.rate is None:
-                raise ValueError(f"{self.kind} policy needs a rate")
+        if self.kind not in POLICY_KINDS:
+            raise ValueError("kind: must be one of " + ", ".join(map(repr, POLICY_KINDS)))
+        takes = {"top_k": "rate", "random": "rate", "threshold": "tau"}.get(self.kind)
+        for name in ("rate", "tau"):
+            given = getattr(self, name) is not None
+            if name == takes and not given:
+                raise ValueError(f"{name}: is required for {self.kind}")
+            if name != takes and given:
+                raise ValueError(f"{name}: {self.kind} takes "
+                                 + (f"only {takes}" if takes else "no parameters"))
+        if self.rate is not None:
             _check_rate(self.rate)
-        if self.kind == "threshold":
-            if self.tau is None:
-                raise ValueError("threshold policy needs tau")
-            if self.tau < 0:
-                raise ValueError("tau must be >= 0")
+        if self.tau is not None:
+            _check_tau(self.tau)
 
 
 def _check_rate(rate: float) -> None:
     if not (0.0 < rate <= 1.0):
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
+        raise ValueError("rate: must be in (0, 1]")
+
+
+def _check_tau(tau: float) -> None:
+    if not tau >= 0.0:
+        raise ValueError("tau: must be >= 0")
 
 
 def _check_vector(v) -> np.ndarray:
@@ -171,8 +182,7 @@ def top_k_sparsify(v, rate: float, *, round: int = 0, client_id: int = 0) -> Spa
 
 def threshold_sparsify(v, tau: float, *, round: int = 0, client_id: int = 0) -> SparseUpdate:
     """Keep every entry with |v| >= tau (boundary inclusive); may keep none."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     v = _check_vector(v)
     keep = np.flatnonzero(np.abs(v) >= tau)
     return SparseUpdate(v.shape[0], keep, v[keep], round=round, client_id=client_id)

@@ -1,0 +1,114 @@
+"""Test oracles: independent references the tests check the package against.
+
+finite_diff_grad checks model.backward; log_gamma, DirichletParams,
+sample_dirichlet and dirichlet_log_pdf check the Dirichlet sampler that
+partition.partition_dataset draws client proportions from. Log-Gamma uses
+the 9-coefficient Lanczos approximation with reflection for x < 0.5.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from fedsparse.model import ModelSpec, loss
+from fedsparse.partition import _sample_proportions
+
+
+def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
+                     labels: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient, (L(w + s*e_j) - L(w - s*e_j)) / 2s per coordinate.
+
+    Test oracle; O(d) loss evaluations, use on small models only.
+    """
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.zeros_like(params)
+    work = params.copy()
+    for j in range(params.shape[0]):
+        orig = work[j]
+        work[j] = orig + step
+        up = loss(spec, work, inputs, labels)
+        work[j] = orig - step
+        down = loss(spec, work, inputs, labels)
+        work[j] = orig
+        grad[j] = (up - down) / (2.0 * step)
+    return grad
+
+
+# Lanczos g=7, n=9 coefficients.
+_LANCZOS_G = 7.0
+_LANCZOS_COEF = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+_LN_SQRT_2PI = 0.9189385332046727
+
+
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0, Lanczos approximation."""
+    if x <= 0:
+        raise ValueError(f"log_gamma needs x > 0, got {x}")
+    if x < 0.5:
+        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
+        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+    x -= 1.0
+    series = _LANCZOS_COEF[0]
+    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+        series += c / (x + i)
+    t = x + _LANCZOS_G + 0.5
+    return _LN_SQRT_2PI + (x + 0.5) * math.log(t) - t + math.log(series)
+
+
+@dataclass(frozen=True)
+class DirichletParams:
+    """Concentration vector; every entry strictly positive, length >= 2."""
+
+    alpha: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        if len(self.alpha) < 2:
+            raise ValueError("need at least two components")
+        if any(a <= 0 for a in self.alpha):
+            raise ValueError("every concentration must be > 0")
+
+    @classmethod
+    def symmetric(cls, alpha: float, k: int) -> "DirichletParams":
+        return cls((float(alpha),) * k)
+
+
+def sample_dirichlet(params: DirichletParams, rng_seed) -> np.ndarray:
+    """Gamma-normalization draw: G_i ~ Gamma(alpha_i, 1), return G / sum(G)."""
+    return _sample_proportions(params.alpha, np.random.default_rng(rng_seed))
+
+
+def dirichlet_log_pdf(params: DirichletParams, x) -> float:
+    """Log-density sum((alpha_i - 1) ln x_i) - ln B(alpha), with
+    ln B(alpha) = sum(ln Gamma(alpha_i)) - ln Gamma(sum(alpha))."""
+    alpha = np.asarray(params.alpha)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != alpha.shape:
+        raise ValueError(f"x has shape {x.shape}, alpha has shape {alpha.shape}")
+    if np.any(x < 0):
+        raise ValueError("proportions must be nonnegative")
+    if abs(x.sum() - 1.0) > 1e-9:
+        raise ValueError(f"proportions sum to {x.sum()!r}, not 1 within 1e-9")
+    if np.any((x == 0) & (alpha < 1)):
+        raise ValueError("zero proportion with concentration < 1 has unbounded density")
+    log_beta = sum(log_gamma(a) for a in alpha) - log_gamma(float(alpha.sum()))
+    total = -log_beta
+    for a, xi in zip(alpha, x):
+        if a != 1.0:  # skip exponent-zero terms so x_i = 0 stays well-defined
+            total += (a - 1.0) * math.log(xi) if xi > 0 else -math.inf
+    return total

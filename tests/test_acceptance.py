@@ -18,11 +18,11 @@ from fedsparse.cli import EXIT_OK, main
 from fedsparse.config import parse_config_dict
 from fedsparse.federation import (ClientState, ServerState, build_dataset,
                                   run_experiment, run_round)
-from fedsparse.model import ModelSpec, backward, finite_diff_grad, init_params
-from fedsparse.partition import (DirichletParams, _sample_proportions,
-                                 dirichlet_log_pdf)
+from fedsparse.model import ModelSpec, backward, init_params
+from fedsparse.partition import _sample_proportions
 from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, decode, encode,
                                 random_sparsify, threshold_sparsify, top_k_sparsify)
+from oracles import DirichletParams, dirichlet_log_pdf, finite_diff_grad
 
 
 @contextmanager

@@ -2,8 +2,10 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +107,15 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_USAGE
         assert "FEDSPARSE_SEED must be a non-negative integer, got '-1'" \
             in capsys.readouterr().err
+
+    def test_tiny_alpha_fails_fast_naming_alpha(self, smoke_config, capsys):
+        """Every Gamma draw underflows to 0 at alpha 1e-300; the redraws stop."""
+        path, doc = smoke_config
+        path.write_text(json.dumps(dict(doc, alpha=1e-300)))
+        start = time.perf_counter()
+        assert main(["run", str(path), "--quiet"]) == EXIT_RUNTIME
+        assert time.perf_counter() - start < 1.0
+        assert "error: alpha: 1e-300 is too small" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -230,7 +241,7 @@ class TestSweep:
         rows = open(os.path.join(doc["output_dir"], "sweep.csv")).read().splitlines()
         statuses = [r.rsplit(",", 1)[1] for r in rows[1:]]
         assert statuses == ["ok", "failed"]
-        assert "failed" in capsys.readouterr().err
+        assert "failed: policy.rate: must be in (0, 1]" in capsys.readouterr().err
 
     def test_all_cells_failing_is_runtime_error(self, tmp_path):
         doc = {
@@ -317,3 +328,26 @@ class TestSweep:
                      "--jobs", jobs]) == EXIT_USAGE
         assert "argument --jobs: must be" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
+
+
+def test_outputs_get_the_umask_mode(smoke_config, tmp_path):
+    """run and sweep outputs are created as open(path, "w") creates a file."""
+    path, _ = smoke_config
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alpha": [0.5], "rate": [0.3], "policy": ["top_k"]}))
+    old = os.umask(0o027)
+    try:
+        assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "run")]) \
+            == EXIT_OK
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    finally:
+        os.umask(old)
+    cell = os.path.join("sweep", "cells", "cell_000")
+    outputs = [os.path.join(d, name) for d in ("run", cell)
+               for name in ("metrics.csv", "summary.json", "partitions.csv")]
+    outputs += [os.path.join("sweep", "sweep.csv"), os.path.join("sweep", "sweep.txt")]
+    for name in outputs:
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
+    for d in ("run", "sweep", cell):
+        assert not [f for f in os.listdir(tmp_path / d) if f.startswith(".tmp-")]

@@ -3,12 +3,14 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fedsparse.config import (ConfigError, ExperimentConfig, ModelConfig,
+from fedsparse.config import (ConfigError, CsvDataConfig, ExperimentConfig, ModelConfig,
                               SyntheticDataConfig, emit_config, parse_config,
                               parse_config_dict)
-from fedsparse.sparsify import SparsityPolicy
+from fedsparse.data import gen_synthetic
+from fedsparse.sparsify import SparsityPolicy, retained_count, threshold_sparsify
 
 MINIMAL = {
     "seed": 7,
@@ -139,6 +141,47 @@ class TestOneOwner:
         parsed = _error(lambda: parse_config_dict(dict(MINIMAL, **override)))
         assert _error(lambda: replace(base, **override)) == parsed
         assert parsed.startswith(f"{next(iter(override))}: must be")
+
+    @pytest.mark.parametrize("section,fields,build", [
+        ("dataset", {"classes": 1}, lambda: SyntheticDataConfig(classes=1)),
+        ("dataset", {"per_class": 0}, lambda: SyntheticDataConfig(per_class=0)),
+        ("dataset", {"input_dim": 0}, lambda: SyntheticDataConfig(input_dim=0)),
+        ("dataset", {"separation": -0.5}, lambda: SyntheticDataConfig(separation=-0.5)),
+        ("dataset", {"kind": "csv", "path": "x.csv", "input_dim": 0, "classes": 2},
+         lambda: CsvDataConfig("x.csv", 0, 2)),
+        ("dataset", {"kind": "csv", "path": "x.csv", "input_dim": 3, "classes": 1},
+         lambda: CsvDataConfig("x.csv", 3, 1)),
+        ("model", {"hidden": [4, 0]}, lambda: ModelConfig(hidden=(4, 0))),
+        ("model", {"activation": "sigmoid"}, lambda: ModelConfig(activation="sigmoid")),
+        ("policy", {"kind": "top_k", "rate": 1.5}, lambda: SparsityPolicy("top_k", 1.5)),
+        ("policy", {"kind": "random", "rate": 0.0}, lambda: SparsityPolicy("random", 0.0)),
+        ("policy", {"kind": "threshold", "tau": -1.0},
+         lambda: SparsityPolicy("threshold", tau=-1.0)),
+        ("policy", {"kind": "top_k"}, lambda: SparsityPolicy("top_k")),
+        ("policy", {"kind": "banana"}, lambda: SparsityPolicy("banana")),
+        ("policy", {"kind": "top_k", "rate": 0.2, "tau": -5.0},
+         lambda: SparsityPolicy("top_k", 0.2, -5.0)),
+        ("policy", {"kind": "threshold", "tau": 0.1, "rate": 0.2},
+         lambda: SparsityPolicy("threshold", rate=0.2, tau=0.1)),
+        ("policy", {"kind": "dense", "tau": 0.1}, lambda: SparsityPolicy("dense", tau=0.1)),
+    ], ids=["classes", "per_class", "input_dim", "separation", "csv.input_dim",
+            "csv.classes", "hidden", "activation", "top_k.rate", "random.rate", "tau",
+            "rate_missing", "kind", "top_k.tau", "threshold.rate", "dense.tau"])
+    def test_nested_types_raise_the_parse_message(self, section, fields, build):
+        parsed = _error(lambda: parse_config_dict(dict(MINIMAL, **{section: fields})))
+        with pytest.raises(ValueError) as info:
+            build()
+        assert parsed == f"{section}.{info.value}"
+
+    def test_runtime_checks_share_the_owners(self):
+        with pytest.raises(ValueError, match=r"^classes: must be >= 2$"):
+            gen_synthetic(1, 10, 4, 1.0, rng_seed=0)
+        with pytest.raises(ValueError, match=r"^separation: must be >= 0$"):
+            gen_synthetic(2, 10, 4, -1.0, rng_seed=0)
+        with pytest.raises(ValueError, match=r"^tau: must be >= 0$"):
+            threshold_sparsify(np.ones(3), -0.1)
+        with pytest.raises(ValueError, match=r"^rate: must be in \(0, 1\]$"):
+            retained_count(1.5, 10)
 
     def test_model_size_limit_on_replace(self):
         base = parse_config_dict(dict(MINIMAL))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsparse.model import (ModelSpec, backward, cross_entropy, evaluate,
-                             finite_diff_grad, forward, group_losses, init_params,
-                             loss, param_count, unpack_params)
+from fedsparse.model import (ModelSpec, _per_sample_losses, _row_max, backward,
+                             evaluate, forward, group_losses, init_params, loss,
+                             param_count, unpack_params)
+from oracles import finite_diff_grad
 
 
 def rel_err(a, b, guard=1e-3):
@@ -145,14 +146,23 @@ class TestForward:
             forward(spec, np.zeros(param_count(spec)), np.ones((2, 4)))
 
 
+def logit_loss(logits, labels):
+    """loss of a model whose logits are its inputs: ModelSpec((C, C)) with
+    identity weights and zero bias (x @ I + 0 gives x exactly)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    c = logits.shape[1]
+    params = np.concatenate([np.eye(c).ravel(), np.zeros(c)])
+    return loss(ModelSpec((c, c)), params, logits, labels)
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((6, 4))
-        assert cross_entropy(logits, np.array([0, 1, 2, 3, 0, 1])) == pytest.approx(
+        assert logit_loss(logits, np.array([0, 1, 2, 3, 0, 1])) == pytest.approx(
             math.log(4), abs=1e-12)
 
     def test_large_logit_is_stable(self):
-        value = cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
+        value = logit_loss(np.array([[1000.0, 0.0]]), np.array([0]))
         assert 0.0 <= value < 1e-6
         assert math.isfinite(value)
 
@@ -167,16 +177,16 @@ class TestCrossEntropy:
             exps = [Decimal(float(v)).exp() for v in row]
             total += -(exps[label] / sum(exps)).ln()
         expected = float(total / 5)
-        assert cross_entropy(logits, labels) == pytest.approx(expected, rel=1e-13)
+        assert logit_loss(logits, labels) == pytest.approx(expected, rel=1e-13)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+            logit_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_confident_correct_margin(self):
         # margin-50 logits: loss positive but below 1e-6
         logits = np.array([[50.0, 0.0, 0.0]])
-        value = cross_entropy(logits, np.array([0]))
+        value = logit_loss(logits, np.array([0]))
         assert 0.0 <= value < 1e-6
 
     @given(st.integers(1, 8), st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
@@ -185,7 +195,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(seed)
         logits = rng.standard_normal((n, c)) * 10
         labels = rng.integers(0, c, size=n)
-        assert cross_entropy(logits, labels) >= 0.0
+        assert logit_loss(logits, labels) >= 0.0
 
 
 class TestBackward:
@@ -249,13 +259,13 @@ class TestBackward:
         logits[0, 1] = 3.0
         logits[1:, 1] = -36.7
         labels = np.zeros(n, dtype=np.int64)
-        per_sample = [cross_entropy(logits[i:i + 1], labels[i:i + 1]) for i in range(n)]
+        per_sample = [logit_loss(logits[i:i + 1], labels[i:i + 1]) for i in range(n)]
         assert all(0.0 < value <= 2.0 ** -52 for value in per_sample[1:])
         sequential = 0.0
         for value in per_sample:
             sequential += value
         assert float(np.sum(per_sample)) != sequential
-        assert cross_entropy(logits, labels) == sequential / n
+        assert logit_loss(logits, labels) == sequential / n
 
     @given(st.sampled_from(["relu", "tanh"]),
            st.lists(st.integers(1, 9), min_size=1, max_size=3),
@@ -298,6 +308,43 @@ class TestGroupLosses:
         spec = ModelSpec((2, 2))
         with pytest.raises(ValueError):
             loss(spec, init_params(spec), np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+def reduce_per_sample_losses(logits, labels):
+    """_per_sample_losses as it stood with numpy's per-row reduce."""
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return lse - logits[np.arange(logits.shape[0]), labels]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestRowMax:
+    SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 800.0, -800.0]
+
+    @given(st.integers(1, 40), st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_fold_matches_reduce_bit_for_bit(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.choice(self.SPECIALS, size=(rows, cols))
+        labels = rng.integers(0, cols, size=rows)
+        # Past 8 columns numpy's reduce may pick the other zero as the
+        # maximum; adding +0.0 maps -0.0 to 0.0 and leaves every other bit.
+        assert np.array_equal(bits(_row_max(logits) + 0.0),
+                              bits(logits.max(axis=1) + 0.0))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(bits(_per_sample_losses(logits, labels)),
+                                  bits(reduce_per_sample_losses(logits, labels)))
+
+    def test_zero_sign_of_the_max_changes_no_loss(self):
+        # numpy 2.4 reduces this 9-wide row to +0.0, the fold to -0.0
+        logits = np.array([[-1.0, -1.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -1.0]])
+        labels = np.array([3])
+        assert _row_max(logits)[0] == 0.0
+        assert np.array_equal(bits(_per_sample_losses(logits, labels)),
+                              bits(reduce_per_sample_losses(logits, labels)))
 
 
 class TestFiniteDiff:

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fedsparse.partition import (DirichletParams, _largest_remainder,
-                                 _sample_proportions, dirichlet_log_pdf, log_gamma,
-                                 partition_dataset, sample_dirichlet)
+from fedsparse.partition import _largest_remainder, _sample_proportions, partition_dataset
+from oracles import DirichletParams, dirichlet_log_pdf, log_gamma, sample_dirichlet
 
 
 class TestLogGamma:
