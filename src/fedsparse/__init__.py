@@ -17,5 +17,4 @@ from .partition import Partition, partition_dataset
 # The `sparsify` function is not re-exported: it would hide the submodule
 # of the same name (`from fedsparse import sparsify` is the module).
 from .sparsify import (DecodeError, SparseUpdate, SparsityPolicy, decode, densify,
-                       encode, encoded_size, random_sparsify, retained_count,
-                       threshold_sparsify, top_k_sparsify)
+                       encode, encoded_size, retained_count)

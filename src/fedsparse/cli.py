@@ -23,8 +23,8 @@ from dataclasses import replace
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, SyntheticDataConfig, _build,
-                     _check_keys, _parse_policy, _require, _typed, _typed_list,
-                     emit_config, parse_config)
+                     _check_keys, _parse_policy, _read_json, _require, _typed,
+                     _typed_list, emit_config, parse_config)
 from .data import gen_synthetic, save_csv
 from .federation import ExperimentResult, RoundMetrics, run_experiment
 from .sparsify import POLICY_KINDS, DecodeError, SparsityPolicy, decode
@@ -141,13 +141,7 @@ def _policy_for_cell(kind: str, rate: float) -> SparsityPolicy:
 
 
 def _load_grid(path) -> tuple[list[float], list[str], list[float]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"grid file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    obj = _read_json(path, "grid")
     _require(isinstance(obj, dict), "grid", "must be a JSON object")
     _check_keys(obj, {"alpha", "policy", "rate"}, "grid")
     alphas = _typed_list(obj.get("alpha", []), float, "grid.alpha")
@@ -275,13 +269,7 @@ def _cmd_dump_update(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"spec file not found: {args.spec}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from None
+    obj = _read_json(args.spec, "spec")
     data = _build(SyntheticDataConfig, obj, "spec", extra={"seed"})
     seed = _typed(obj.get("seed", 0), int, "spec.seed")
     _require(seed >= 0, "spec.seed", "must be >= 0")

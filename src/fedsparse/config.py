@@ -32,6 +32,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .model import ACTIVATIONS, ModelSpec, param_count
+from .partition import MIN_ALPHA
 from .sparsify import MAX_CLIENT_ID, MAX_INDEX, MAX_ROUND, SparsityPolicy
 
 
@@ -117,6 +118,8 @@ class ExperimentConfig:
         _require(self.clients <= MAX_CLIENT_ID, "clients",
                  f"must be <= {MAX_CLIENT_ID} (the FSU1 client id is a u16)")
         _require(self.alpha > 0, "alpha", "must be > 0")
+        _require(self.alpha >= MIN_ALPHA, "alpha",
+                 f"must be >= {MIN_ALPHA:g} (smaller can underflow every Dirichlet draw)")
         _require(self.sparsify_site in ("uploaded_delta", "local_gradient"),
                  "sparsify_site", "must be 'uploaded_delta' or 'local_gradient'")
         _require(self.rounds >= 1, "rounds", "must be >= 1")
@@ -223,15 +226,20 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def parse_config(path) -> ExperimentConfig:
+def _read_json(path, what: str):
+    """The JSON document in the file at path; `what` names the file
+    ("config", "grid", "spec") when it is missing."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config_dict(obj)
+
+
+def parse_config(path) -> ExperimentConfig:
+    return parse_config_dict(_read_json(path, "config"))
 
 
 def emit_config(cfg: ExperimentConfig) -> dict:

@@ -21,7 +21,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     class_count: int
-    name: str = ""
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -46,12 +45,11 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.inputs[indices], self.labels[indices],
-                       self.class_count, self.name)
+        return Dataset(self.inputs[indices], self.labels[indices], self.class_count)
 
 
 def gen_synthetic(classes: int, per_class: int, input_dim: int,
-                  separation: float, rng_seed, name: str = "synthetic") -> Dataset:
+                  separation: float, rng_seed) -> Dataset:
     """Isotropic unit-variance Gaussian blobs.
 
     Class c is centered at separation * u_c. The directions u_c are
@@ -74,7 +72,7 @@ def gen_synthetic(classes: int, per_class: int, input_dim: int,
         inputs[block] = separation * directions[c] + rng.standard_normal((per_class, input_dim))
         labels[block] = c
     order = rng.permutation(classes * per_class)
-    return Dataset(inputs[order], labels[order], classes, name)
+    return Dataset(inputs[order], labels[order], classes)
 
 
 def load_csv(path, input_dim: int, class_count: int, skip_header: bool = False) -> Dataset:
@@ -108,7 +106,7 @@ def load_csv(path, input_dim: int, class_count: int, skip_header: bool = False) 
             labels.append(label)
     if not inputs:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(inputs), np.array(labels), class_count, name=str(path))
+    return Dataset(np.array(inputs), np.array(labels), class_count)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -128,7 +126,7 @@ class NormStats:
     def apply(self, ds: Dataset) -> Dataset:
         scale = np.where(self.std == 0.0, 1.0, self.std)
         shifted = (ds.inputs - self.mean) / scale
-        return Dataset(shifted, ds.labels, ds.class_count, ds.name)
+        return Dataset(shifted, ds.labels, ds.class_count)
 
 
 def normalize(ds: Dataset) -> tuple[Dataset, NormStats]:

@@ -17,7 +17,7 @@ Two sparsification sites are supported:
   uploaded (dense cost).
 
 Determinism: every stochastic choice draws from a generator seeded by
-(experiment_seed, stream tag, ...) so results do not depend on client
+(config seed, stream tag, ...) so results do not depend on client
 scheduling; aggregation always combines updates in ascending client_id
 order. RNG stream tags: 1 client selection, 2 client training, 10 data
 generation, 11 train/test split, 12 partitioning.
@@ -25,7 +25,6 @@ generation, 11 train/test split, 12 partitioning.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ from .config import CsvDataConfig, ExperimentConfig, SyntheticDataConfig
 from .data import Dataset, gen_synthetic, load_csv, normalize, train_test_split
 from .model import ModelSpec
 from .partition import Partition, partition_dataset
-from .sparsify import SparseUpdate, densify, encode, encoded_size, sparsify
+from .sparsify import SparseUpdate, densify, encode, encoded_size, retained_count, sparsify
 
 _SELECT_TAG = 1
 _CLIENT_TAG = 2
@@ -137,9 +136,9 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
             grad = model_ops.backward(model_spec, w, inputs[batch], labels[batch])
             if cfg.sparsify_site == "local_gradient":
                 seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
-                u = sparsify(grad, cfg.policy, seed)
+                keep = sparsify(grad, cfg.policy, seed)
                 # unretained coordinates would get w - 0.0, the same bits as w
-                w[u.indices] -= cfg.learning_rate * u.values
+                w[keep] -= cfg.learning_rate * grad[keep]
             else:
                 grad *= cfg.learning_rate
                 w -= grad
@@ -159,14 +158,15 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
             uplink_bytes=encoded_size(w.shape[0]),
         )
     seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
-    update = sparsify(delta, cfg.policy, seed,
-                      round=round_index, client_id=client.client_id)
+    keep = sparsify(delta, cfg.policy, seed)
+    update = SparseUpdate(w.shape[0], keep, delta[keep],
+                          round=round_index, client_id=client.client_id)
     return ClientUpdate(
         client_id=client.client_id,
         sample_count=int(idx.shape[0]),
         site=cfg.sparsify_site,
         update=update,
-        retained_params=w[update.indices].copy(),
+        retained_params=w[keep],
         uplink_bytes=len(encode(update)),
     )
 
@@ -249,13 +249,8 @@ def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
     return value
 
 
-def _selection_count(participation: float, n_clients: int) -> int:
-    return max(1, math.ceil(participation * n_clients - 1e-9))
-
-
 def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentConfig,
-              model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset,
-              experiment_seed: int) -> RoundMetrics:
+              model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset) -> RoundMetrics:
     """Execute one communication round and append its metrics.
 
     Selects ceil(participation * N) clients uniformly (seeded by round),
@@ -266,15 +261,15 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
     t0 = time.perf_counter()
     t = server.round
     n = len(clients)
-    k = _selection_count(cfg.participation, n)
-    select_rng = np.random.default_rng([experiment_seed, _SELECT_TAG, t])
+    k = retained_count(cfg.participation, n)
+    select_rng = np.random.default_rng([cfg.seed, _SELECT_TAG, t])
     selected = sorted(int(i) for i in select_rng.choice(n, size=k, replace=False))
 
     dim = server.global_params.shape[0]
     downlink = k * encoded_size(dim)
     updates = []
     for cid in selected:
-        rng = np.random.default_rng([experiment_seed, _CLIENT_TAG, cid, t])
+        rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, cid, t])
         updates.append(client_local_train(
             clients[cid], server.global_params, cfg, model_spec, train_ds, rng,
             round_index=t))
@@ -363,7 +358,7 @@ def run_experiment(config: ExperimentConfig, on_round=None) -> ExperimentResult:
     server = ServerState(global_params=model_ops.init_params(spec))
     clients = [ClientState(p.client_id, p) for p in partitions]
     for _ in range(config.rounds):
-        metrics = run_round(server, clients, config, spec, train_ds, test_ds, config.seed)
+        metrics = run_round(server, clients, config, spec, train_ds, test_ds)
         if on_round is not None:
             on_round(metrics)
     return ExperimentResult(

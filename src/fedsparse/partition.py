@@ -48,6 +48,13 @@ def _gamma_draw(shape: float, rng: np.random.Generator) -> float:
 # alpha gives up then depends on alpha alone, not on the client count.
 _MAX_VARIATES = 30_000
 
+# The smallest alpha a config accepts. A Gamma(alpha) variate underflows to
+# 0 when it falls below the least subnormal double, about e^-744; for small
+# alpha that happens with probability about e^(-744 * alpha). The cap above
+# allows 30,000 variates per class, so a class gives up with probability
+# about exp(-744 * alpha * 30,000): 0.1 at alpha 1e-7, 1e-97 at 1e-5.
+MIN_ALPHA = 1e-5
+
 
 def _sample_proportions(alpha, rng: np.random.Generator) -> np.ndarray:
     """Dirichlet(alpha) draw by Gamma normalization: G_i ~ Gamma(alpha_i, 1),

@@ -1,6 +1,8 @@
-"""Update sparsifiers, the sparse-update container, and its wire codec.
+"""Update sparsification, the sparse-update container, and its wire codec.
 
-Three ways to shrink a dense update vector before upload:
+`sparsify` returns the indices a policy keeps; the caller builds the
+SparseUpdate that goes on the wire from them. Three ways to shrink a
+dense update vector before upload:
 
 * top_k      -- keep the max(1, ceil(K*d)) coordinates of largest magnitude
 * threshold  -- keep every coordinate with |v| >= tau (may keep none)
@@ -124,27 +126,13 @@ class SparsityPolicy:
                                  + (f"only {takes}" if takes else "no parameters"))
         if self.rate is not None:
             _check_rate(self.rate)
-        if self.tau is not None:
-            _check_tau(self.tau)
+        if self.tau is not None and not self.tau >= 0.0:
+            raise ValueError("tau: must be >= 0")
 
 
 def _check_rate(rate: float) -> None:
     if not (0.0 < rate <= 1.0):
         raise ValueError("rate: must be in (0, 1]")
-
-
-def _check_tau(tau: float) -> None:
-    if not tau >= 0.0:
-        raise ValueError("tau: must be >= 0")
-
-
-def _check_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    if np.isnan(v).any():
-        raise ValueError("vector contains NaN")
-    return v
 
 
 def retained_count(rate: float, dim: int) -> int:
@@ -154,68 +142,37 @@ def retained_count(rate: float, dim: int) -> int:
     return max(1, math.ceil(rate * dim - 1e-9))
 
 
-def top_k_sparsify(v, rate: float, *, round: int = 0, client_id: int = 0) -> SparseUpdate:
-    """Keep the m = retained_count(rate, d) entries of largest |v|.
+def sparsify(v, policy: SparsityPolicy, rng_seed=None) -> np.ndarray:
+    """Ascending int64 indices of the entries of v that `policy` keeps,
+    by the rules in the module docstring; only "random" reads `rng_seed`.
 
-    The m-th largest magnitude `kth` comes from a partition, O(d) rather
-    than a full sort. Every entry with |v| > kth is kept, then the
-    lowest-index entries with |v| == kth until there are m: the same set
-    as the first m positions of a stable sort on -|v|. Without a tie at
-    the cut, |v| >= kth already holds for exactly m entries.
+    Top-k: without a tie at the cut, |v| >= kth already holds for exactly
+    m entries; otherwise the lowest-index ties fill the remaining slots.
     """
-    v = _check_vector(v)
+    if policy.kind == "random" and rng_seed is None:
+        raise ValueError("random policy needs an rng_seed")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] == 0:
+        raise ValueError("expected a nonempty 1-d vector")
+    if np.isnan(v).any():
+        raise ValueError("vector contains NaN")
     d = v.shape[0]
-    m = retained_count(rate, d)
-    if m == d:
-        keep = np.arange(d)
-    else:
-        mag = np.abs(v)
-        kth = np.partition(mag, d - m)[d - m]
-        keep = np.flatnonzero(mag >= kth)
-        if keep.shape[0] > m:
-            mask = mag > kth
-            ties = np.flatnonzero(mag == kth)
-            mask[ties[:m - np.count_nonzero(mask)]] = True
-            keep = np.flatnonzero(mask)
-    return SparseUpdate(d, keep, v[keep], round=round, client_id=client_id)
-
-
-def threshold_sparsify(v, tau: float, *, round: int = 0, client_id: int = 0) -> SparseUpdate:
-    """Keep every entry with |v| >= tau (boundary inclusive); may keep none."""
-    _check_tau(tau)
-    v = _check_vector(v)
-    keep = np.flatnonzero(np.abs(v) >= tau)
-    return SparseUpdate(v.shape[0], keep, v[keep], round=round, client_id=client_id)
-
-
-def random_sparsify(v, rate: float, rng_seed, *, round: int = 0,
-                    client_id: int = 0) -> SparseUpdate:
-    """Keep a uniformly chosen subset of retained_count(rate, d) entries."""
-    v = _check_vector(v)
-    m = retained_count(rate, v.shape[0])
-    rng = np.random.default_rng(rng_seed)
-    keep = np.sort(rng.choice(v.shape[0], size=m, replace=False))
-    return SparseUpdate(v.shape[0], keep, v[keep], round=round, client_id=client_id)
-
-
-def dense_update(v, *, round: int = 0, client_id: int = 0) -> SparseUpdate:
-    v = _check_vector(v)
-    return SparseUpdate(v.shape[0], np.arange(v.shape[0]), v.copy(),
-                        round=round, client_id=client_id)
-
-
-def sparsify(v, policy: SparsityPolicy, rng_seed=None, *, round: int = 0,
-             client_id: int = 0) -> SparseUpdate:
-    """Dispatch on policy kind. `rng_seed` is only consulted by "random"."""
-    if policy.kind == "top_k":
-        return top_k_sparsify(v, policy.rate, round=round, client_id=client_id)
     if policy.kind == "threshold":
-        return threshold_sparsify(v, policy.tau, round=round, client_id=client_id)
+        return np.flatnonzero(np.abs(v) >= policy.tau)
+    m = d if policy.kind == "dense" else retained_count(policy.rate, d)
+    if m == d:
+        return np.arange(d)
     if policy.kind == "random":
-        if rng_seed is None:
-            raise ValueError("random policy needs an rng_seed")
-        return random_sparsify(v, policy.rate, rng_seed, round=round, client_id=client_id)
-    return dense_update(v, round=round, client_id=client_id)
+        return np.sort(np.random.default_rng(rng_seed).choice(d, size=m, replace=False))
+    mag = np.abs(v)
+    kth = np.partition(mag, d - m)[d - m]
+    keep = np.flatnonzero(mag >= kth)
+    if keep.shape[0] > m:
+        mask = mag > kth
+        ties = np.flatnonzero(mag == kth)
+        mask[ties[:m - np.count_nonzero(mask)]] = True
+        keep = np.flatnonzero(mask)
+    return keep
 
 
 def densify(u: SparseUpdate) -> np.ndarray:

@@ -20,8 +20,8 @@ from fedsparse.federation import (ClientState, ServerState, build_dataset,
                                   run_experiment, run_round)
 from fedsparse.model import ModelSpec, backward, init_params
 from fedsparse.partition import _sample_proportions
-from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, decode, encode,
-                                random_sparsify, threshold_sparsify, top_k_sparsify)
+from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, SparsityPolicy, decode,
+                                encode, sparsify)
 from oracles import DirichletParams, dirichlet_log_pdf, finite_diff_grad
 
 
@@ -87,23 +87,24 @@ def test_criterion_2_sparsifier_oracles():
             v = rng.standard_normal(d)
             rate = float(rng.uniform(0.01, 1.0))
             m = max(1, math.ceil(rate * d - 1e-9))
-            got = top_k_sparsify(v, rate).indices
+            got = sparsify(v, SparsityPolicy("top_k", rate=rate))
             # stable magnitude-descending sort with explicit index tie-break
             oracle = np.sort(np.lexsort((np.arange(d), -np.abs(v)))[:m])
             assert np.array_equal(got, oracle)
 
             tau = float(rng.uniform(0.0, 2.0))
-            got_t = threshold_sparsify(v, tau).indices
+            got_t = sparsify(v, SparsityPolicy("threshold", tau=tau))
             scan = np.array([j for j in range(d) if abs(v[j]) >= tau], dtype=np.int64)
             assert np.array_equal(got_t, scan)
 
         d, draws = 100, 10000
         v = rng.standard_normal(d)
         counts = np.zeros(d)
+        random_policy = SparsityPolicy("random", rate=0.2)
         for s in range(draws):
-            u = random_sparsify(v, 0.2, rng_seed=[99, s])
-            assert len(u) == 20  # cardinality exact
-            counts[u.indices] += 1
+            keep = sparsify(v, random_policy, rng_seed=[99, s])
+            assert len(keep) == 20  # cardinality exact
+            counts[keep] += 1
         freq = counts / draws
         assert np.all(np.abs(freq - 0.2) < 0.02), \
             f"frequency range [{freq.min():.3f}, {freq.max():.3f}]"
@@ -142,10 +143,14 @@ def test_criterion_4_communication_cost_ratio():
     with criterion(4, "payload ratio == K +/- 0.01 at d = 10^5"):
         d = 100000
         v = np.random.default_rng(13).standard_normal(d)
-        dense_payload = len(encode(top_k_sparsify(v, 1.0))) - HEADER_BYTES
+
+        def payload(rate):
+            keep = sparsify(v, SparsityPolicy("top_k", rate=rate))
+            return len(encode(SparseUpdate(d, keep, v[keep]))) - HEADER_BYTES
+        dense_payload = payload(1.0)
         for rate in (0.1, 0.2, 0.3, 0.4):
-            payload = len(encode(top_k_sparsify(v, rate))) - HEADER_BYTES
-            ratio = payload / dense_payload
+            payload_bytes = payload(rate)
+            ratio = payload_bytes / dense_payload
             assert abs(ratio - rate) <= 0.01, f"K={rate}: ratio {ratio}"
 
 
@@ -266,7 +271,7 @@ def test_criterion_9_fedavg_degeneration():
         reference = init_params(spec)
         idx = parts[0].sample_indices
         for t in range(10):
-            run_round(server, clients, config, spec, train, test, config.seed)
+            run_round(server, clients, config, spec, train, test)
             rng = np.random.default_rng([config.seed, 2, 0, t])
             for _ in range(2):
                 order = rng.permutation(idx.shape[0])

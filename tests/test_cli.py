@@ -5,7 +5,6 @@ import os
 import stat
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -109,13 +108,12 @@ class TestRun:
             in capsys.readouterr().err
 
     def test_tiny_alpha_fails_fast_naming_alpha(self, smoke_config, capsys):
-        """Every Gamma draw underflows to 0 at alpha 1e-300; the redraws stop."""
+        """An alpha that can underflow every Dirichlet draw is a config error."""
         path, doc = smoke_config
         path.write_text(json.dumps(dict(doc, alpha=1e-300)))
-        start = time.perf_counter()
-        assert main(["run", str(path), "--quiet"]) == EXIT_RUNTIME
-        assert time.perf_counter() - start < 1.0
-        assert "error: alpha: 1e-300 is too small" in capsys.readouterr().err
+        assert main(["run", str(path), "--quiet"]) == EXIT_USAGE
+        assert "config error: alpha: must be >= 1e-05" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -185,6 +183,18 @@ class TestGenData:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid"])
+    def test_unreadable_spec_file(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", str(path), "-o", str(out)]) == EXIT_USAGE
+        expected = f"spec file not found: {path}" if text is None \
+            else f"{path}: invalid JSON: "
+        assert f"config error: {expected}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def write_grid(self, tmp_path, grid):
@@ -232,16 +242,19 @@ class TestSweep:
         assert cell_metrics == direct_metrics
 
     def test_partial_failure_exit_code(self, smoke_config, tmp_path, capsys):
-        """A bad cell (rate out of range) is recorded; the rest still run."""
+        """Bad cells (rate out of range, alpha below the floor) are recorded;
+        the rest still run."""
         path, doc = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3, 1.5],
+        grid = self.write_grid(tmp_path, {"alpha": [0.5, 1e-7], "rate": [0.3, 1.5],
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
             EXIT_PARTIAL
         rows = open(os.path.join(doc["output_dir"], "sweep.csv")).read().splitlines()
         statuses = [r.rsplit(",", 1)[1] for r in rows[1:]]
-        assert statuses == ["ok", "failed"]
-        assert "failed: policy.rate: must be in (0, 1]" in capsys.readouterr().err
+        assert statuses == ["ok", "failed", "failed", "failed"]
+        err = capsys.readouterr().err
+        assert "failed: policy.rate: must be in (0, 1]" in err
+        assert "alpha=1e-07 policy=top_k rate=0.3 failed: alpha: must be >= 1e-05" in err
 
     def test_all_cells_failing_is_runtime_error(self, tmp_path):
         doc = {
@@ -275,6 +288,19 @@ class TestSweep:
         assert main(["sweep", str(path), "--grid", str(grid_path), "--quiet"]) == \
             EXIT_USAGE
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid"])
+    def test_unreadable_grid_file(self, smoke_config, tmp_path, capsys, text):
+        path, doc = smoke_config
+        grid_path = tmp_path / "grid.json"
+        if text is not None:
+            grid_path.write_text(text)
+        assert main(["sweep", str(path), "--grid", str(grid_path), "--quiet"]) == \
+            EXIT_USAGE
+        expected = f"grid file not found: {grid_path}" if text is None \
+            else f"{grid_path}: invalid JSON: "
+        assert f"config error: {expected}" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
 
     def test_parallel_jobs_match_serial(self, smoke_config, tmp_path):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsparse.sparsify import (DecodeError, HEADER_BYTES, SparseUpdate, decode,
-                                dense_update, encode, encoded_size,
-                                top_k_sparsify)
+from fedsparse.sparsify import (DecodeError, HEADER_BYTES, SparseUpdate,
+                                SparsityPolicy, decode, encode, encoded_size,
+                                sparsify)
 
 
 def random_update(rng, dim=None, count=None):
@@ -65,7 +65,7 @@ class TestRoundTrip:
         empty = SparseUpdate(50, [], [], round=1, client_id=2)
         assert decode(encode(empty)) == empty
         v = np.random.default_rng(2).standard_normal(50).astype(np.float32)
-        full = dense_update(v.astype(np.float64))
+        full = SparseUpdate(50, np.arange(50), v.astype(np.float64))
         assert decode(encode(full)) == full
 
     def test_values_round_to_float32(self):
@@ -145,6 +145,9 @@ class TestCommBytes:
     def test_payload_ratio_scales_with_rate(self):
         d = 100000
         v = np.random.default_rng(5).standard_normal(d)
-        dense_payload = len(encode(top_k_sparsify(v, 1.0))) - HEADER_BYTES
-        sparse_payload = len(encode(top_k_sparsify(v, 0.1))) - HEADER_BYTES
+
+        def payload(rate):
+            keep = sparsify(v, SparsityPolicy("top_k", rate=rate))
+            return len(encode(SparseUpdate(d, keep, v[keep]))) - HEADER_BYTES
+        dense_payload, sparse_payload = payload(1.0), payload(0.1)
         assert sparse_payload / dense_payload == pytest.approx(0.1, abs=1e-9)

@@ -3,14 +3,14 @@
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from fedsparse.config import (ConfigError, CsvDataConfig, ExperimentConfig, ModelConfig,
                               SyntheticDataConfig, emit_config, parse_config,
                               parse_config_dict)
 from fedsparse.data import gen_synthetic
-from fedsparse.sparsify import SparsityPolicy, retained_count, threshold_sparsify
+from fedsparse.partition import MIN_ALPHA
+from fedsparse.sparsify import SparsityPolicy, retained_count
 
 MINIMAL = {
     "seed": 7,
@@ -91,6 +91,15 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"^model\.hidden: gives 4294967297 params"):
             parse_config_dict(cfg(2 ** 30 - 7, 5))
 
+    def test_alpha_floor_checked_at_config_time(self):
+        # below MIN_ALPHA a partition can underflow every Dirichlet draw
+        assert parse_config_dict(dict(MINIMAL, alpha=MIN_ALPHA)).alpha == MIN_ALPHA
+        for alpha in (1e-7, 1e-300, 0.999 * MIN_ALPHA):
+            with pytest.raises(ConfigError, match=r"^alpha: must be >= 1e-05 "):
+                parse_config_dict(dict(MINIMAL, alpha=alpha))
+        with pytest.raises(ConfigError, match=r"^alpha: must be > 0$"):
+            parse_config_dict(dict(MINIMAL, alpha=0.0))
+
     def test_wrong_types_rejected(self):
         with pytest.raises(ConfigError, match="seed: must be an integer"):
             parse_config_dict(dict(MINIMAL, seed="banana"))
@@ -134,7 +143,7 @@ class TestOneOwner:
         {"alpha": -1.0}, {"sparsify_site": "midway"}, {"rounds": 0},
         {"rounds": 2 ** 32}, {"local_epochs": 0}, {"batch_size": 0},
         {"participation": 0.0}, {"participation": 1.5}, {"test_fraction": 0.0},
-        {"test_fraction": 1.0},
+        {"test_fraction": 1.0}, {"alpha": 1e-7},
     ])
     def test_replace_raises_the_parse_message(self, override):
         base = parse_config_dict(dict(MINIMAL))
@@ -178,8 +187,6 @@ class TestOneOwner:
             gen_synthetic(1, 10, 4, 1.0, rng_seed=0)
         with pytest.raises(ValueError, match=r"^separation: must be >= 0$"):
             gen_synthetic(2, 10, 4, -1.0, rng_seed=0)
-        with pytest.raises(ValueError, match=r"^tau: must be >= 0$"):
-            threshold_sparsify(np.ones(3), -0.1)
         with pytest.raises(ValueError, match=r"^rate: must be in \(0, 1\]$"):
             retained_count(1.5, 10)
 

@@ -32,9 +32,9 @@ def single_client(ds):
 
 
 def cfg_with(policy, site="uploaded_delta", lr=0.05, epochs=1, batch=8, rounds=1,
-             participation=1.0):
+             participation=1.0, seed=0):
     """A config built directly: the dataset and model fields are unused here."""
-    return ExperimentConfig(seed=0, dataset=SyntheticDataConfig(), policy=policy,
+    return ExperimentConfig(seed=seed, dataset=SyntheticDataConfig(), policy=policy,
                             rounds=rounds, local_epochs=epochs, learning_rate=lr,
                             batch_size=batch, participation=participation,
                             sparsify_site=site)
@@ -174,10 +174,9 @@ class TestAggregate:
             aggregate([], np.zeros(2))
 
     def test_wire_decoded_update_uses_additive_form(self):
-        from fedsparse.sparsify import decode, encode, top_k_sparsify
+        from fedsparse.sparsify import SparseUpdate, decode, encode
         prev = np.array([1.0, 2.0, 3.0, 4.0])
-        delta = np.array([0.5, 0.0, -0.25, 0.0])
-        wire = decode(encode(top_k_sparsify(delta, 0.5)))
+        wire = decode(encode(SparseUpdate(4, [0, 2], [0.5, -0.25])))
         u = ClientUpdate(client_id=0, sample_count=1, site="uploaded_delta",
                          update=wire)
         out = reconstruct_params(u, prev)
@@ -303,21 +302,24 @@ class TestGlobalLoss:
 
 
 def run_setup(policy, site="uploaded_delta", seed=11, n_clients=3, lr=0.05,
-              epochs=1, batch=8, spec_sizes=(4, 6, 3)):
+              epochs=1, batch=8, spec_sizes=(4, 6, 3), run_seed=0):
+    """Data, model and clients seeded by `seed`; the config's own seed,
+    which keys client selection and training, is `run_seed`."""
     ds = gen_synthetic(3, 20, spec_sizes[0], 2.0, rng_seed=seed)
     test = gen_synthetic(3, 5, spec_sizes[0], 2.0, rng_seed=seed + 1)
     spec = ModelSpec(spec_sizes, seed=seed)
     parts = partition_dataset(ds.labels, n_clients, 0.5, rng_seed=seed)
     clients = [ClientState(p.client_id, p) for p in parts]
     server = ServerState(global_params=init_params(spec))
-    cfg = cfg_with(policy, site=site, lr=lr, epochs=epochs, batch=batch)
+    cfg = cfg_with(policy, site=site, lr=lr, epochs=epochs, batch=batch, seed=run_seed)
     return ds, test, spec, clients, server, cfg
 
 
 class TestRunRound:
     def test_full_participation_aggregates_all_clients(self):
-        ds, test, spec, clients, server, cfg = run_setup(SparsityPolicy("top_k", rate=0.5))
-        metrics = run_round(server, clients, cfg, spec, ds, test, experiment_seed=1)
+        ds, test, spec, clients, server, cfg = run_setup(SparsityPolicy("top_k", rate=0.5),
+                                                         run_seed=1)
+        metrics = run_round(server, clients, cfg, spec, ds, test)
         d = server.global_params.shape[0]
         m = max(1, math.ceil(0.5 * d - 1e-9))
         assert metrics.uplink_bytes == 3 * encoded_size(m)
@@ -327,8 +329,8 @@ class TestRunRound:
 
     def test_fractional_participation_count(self):
         ds, test, spec, clients, server, cfg = run_setup(SparsityPolicy("dense"))
-        cfg = cfg_with(SparsityPolicy("dense"), participation=0.34)
-        metrics = run_round(server, clients, cfg, spec, ds, test, experiment_seed=1)
+        cfg = cfg_with(SparsityPolicy("dense"), participation=0.34, seed=1)
+        metrics = run_round(server, clients, cfg, spec, ds, test)
         d = server.global_params.shape[0]
         assert metrics.downlink_bytes == 2 * encoded_size(d)  # ceil(0.34 * 3)
 
@@ -336,14 +338,14 @@ class TestRunRound:
         """Textbook FedAvg (local SGD then data-weighted model average)
         reimplemented inline must agree bit for bit at rate 1.0."""
         policy = SparsityPolicy("top_k", rate=1.0)
-        ds, test, spec, clients, server, cfg = run_setup(policy, epochs=2)
+        ds, test, spec, clients, server, cfg = run_setup(policy, epochs=2, run_seed=7)
         w0 = server.global_params.copy()
-        run_round(server, clients, cfg, spec, ds, test, experiment_seed=7)
+        run_round(server, clients, cfg, spec, ds, test)
 
         locals_ = []
         counts = []
         for c in clients:
-            rng = np.random.default_rng([7, 2, c.client_id, 0])
+            rng = np.random.default_rng([cfg.seed, 2, c.client_id, 0])
             w = w0.copy()
             idx = c.partition.sample_indices
             for _ in range(2):
@@ -371,17 +373,17 @@ class TestRunRound:
         else:
             policy = SparsityPolicy("dense")
         ds, test, spec, clients, server, cfg = run_setup(policy, site=site, lr=0.0)
-        cfg = cfg_with(policy, site=site, lr=0.0, epochs=2)
+        cfg = cfg_with(policy, site=site, lr=0.0, epochs=2, seed=3)
         w0 = server.global_params.copy()
-        run_round(server, clients, cfg, spec, ds, test, experiment_seed=3)
+        run_round(server, clients, cfg, spec, ds, test)
         assert np.array_equal(server.global_params, w0)
 
     def test_uplink_monotone_in_rate(self):
         previous = -1
         for rate in (0.1, 0.2, 0.5, 0.8, 1.0):
             ds, test, spec, clients, server, cfg = run_setup(
-                SparsityPolicy("top_k", rate=rate))
-            metrics = run_round(server, clients, cfg, spec, ds, test, experiment_seed=5)
+                SparsityPolicy("top_k", rate=rate), run_seed=5)
+            metrics = run_round(server, clients, cfg, spec, ds, test)
             assert metrics.uplink_bytes >= previous
             previous = metrics.uplink_bytes
 
@@ -389,8 +391,8 @@ class TestRunRound:
         results = {}
         for rate in (0.1, 1.0):
             ds, test, spec, clients, server, cfg = run_setup(
-                SparsityPolicy("top_k", rate=rate), spec_sizes=(4, 512, 96, 3))
-            metrics = run_round(server, clients, cfg, spec, ds, test, experiment_seed=9)
+                SparsityPolicy("top_k", rate=rate), spec_sizes=(4, 512, 96, 3), run_seed=9)
+            metrics = run_round(server, clients, cfg, spec, ds, test)
             results[rate] = metrics.uplink_bytes
         ratio = results[0.1] / results[1.0]
         assert 0.09 < ratio < 0.11

@@ -2,6 +2,7 @@
 label-skew structure."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestPartitioning:
             partition_dataset(balanced_labels(), 0, 0.5, rng_seed=0)
         with pytest.raises(ValueError):
             partition_dataset(balanced_labels(), 2, 0.0, rng_seed=0)
+
+    def test_tiny_alpha_stops_at_the_variate_cap(self):
+        """Every Gamma draw underflows to 0 at alpha 1e-300; the redraws
+        stop after the variate cap with an error naming alpha."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^alpha: 1e-300 is too small"):
+            partition_dataset(balanced_labels(), 3, 1e-300, rng_seed=0)
+        assert time.perf_counter() - start < 1.0
 
     def test_heterogeneity_decreases_with_alpha(self):
         """Mean max-client TV distance to the global label mix is larger

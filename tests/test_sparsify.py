@@ -9,8 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsparse.sparsify import (SparseUpdate, SparsityPolicy, densify,
-                                random_sparsify, retained_count, sparsify,
-                                threshold_sparsify, top_k_sparsify)
+                                retained_count, sparsify)
+
+
+def top_k(v, rate):
+    return sparsify(v, SparsityPolicy("top_k", rate=rate))
+
+
+def threshold(v, tau):
+    return sparsify(v, SparsityPolicy("threshold", tau=tau))
+
+
+def random_subset(v, rate, rng_seed):
+    return sparsify(v, SparsityPolicy("random", rate=rate), rng_seed)
 
 
 def sort_oracle_indices(v, m):
@@ -58,25 +69,23 @@ class TestRetainedCount:
 
 class TestTopK:
     def test_forced_magnitude_order(self):
-        u = top_k_sparsify(np.array([0.5, -2.0, 0.1, 1.5]), 0.5)
-        assert list(u.indices) == [1, 3]
-        assert list(u.values) == [-2.0, 1.5]
+        keep = top_k(np.array([0.5, -2.0, 0.1, 1.5]), 0.5)
+        assert list(keep) == [1, 3]
+        assert keep.dtype == np.int64
 
     def test_full_rate_round_trips(self):
         v = np.random.default_rng(0).standard_normal(17)
-        u = top_k_sparsify(v, 1.0)
-        assert len(u) == 17
-        assert np.array_equal(densify(u), v)
+        keep = top_k(v, 1.0)
+        assert len(keep) == 17
+        assert np.array_equal(densify(SparseUpdate(17, keep, v[keep])), v)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(42)
         v = rng.standard_normal(1000)
-        u = top_k_sparsify(v, 0.1)
-        assert list(u.indices) == sort_oracle_indices(v, 100)
+        assert list(top_k(v, 0.1)) == sort_oracle_indices(v, 100)
 
     def test_magnitude_ties_break_low_index(self):
-        u = top_k_sparsify(np.array([1.0, -1.0, 1.0]), 0.6)  # m = 2
-        assert list(u.indices) == [0, 1]
+        assert list(top_k(np.array([1.0, -1.0, 1.0]), 0.6)) == [0, 1]  # m = 2
 
     @pytest.mark.parametrize("v, m, tie_at_cut", [
         ([3.0, -3.0, 1.0, 0.5], 2, False),       # tie above the cut only
@@ -92,24 +101,23 @@ class TestTopK:
         v = np.array(v)
         kth = np.sort(np.abs(v))[len(v) - m]
         assert (np.count_nonzero(np.abs(v) >= kth) > m) == tie_at_cut
-        u = top_k_sparsify(v, m / len(v))
-        assert np.array_equal(u.indices, lexsort_oracle_indices(v, m))
+        assert np.array_equal(top_k(v, m / len(v)), lexsort_oracle_indices(v, m))
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            top_k_sparsify(np.array([1.0, np.nan]), 0.5)
-        with pytest.raises(ValueError):
-            top_k_sparsify(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            top_k_sparsify(np.array([1.0]), 1.0001)
+        with pytest.raises(ValueError, match="NaN"):
+            top_k(np.array([1.0, np.nan]), 0.5)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            top_k(np.array([]), 0.5)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            top_k(np.ones((2, 2)), 0.5)
 
     @given(finite_vectors, st.floats(0.01, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_cardinality_and_oracle_property(self, v, rate):
-        u = top_k_sparsify(v, rate)
+        keep = top_k(v, rate)
         m = retained_count(rate, len(v))
-        assert len(u) == m
-        assert list(u.indices) == sort_oracle_indices(v, m)
+        assert len(keep) == m
+        assert list(keep) == sort_oracle_indices(v, m)
 
     @given(tie_heavy_vectors)
     @settings(max_examples=200, deadline=None)
@@ -117,9 +125,7 @@ class TestTopK:
         d = len(v)
         for m in range(1, d + 1):
             assert retained_count(m / d, d) == m
-            u = top_k_sparsify(v, m / d)
-            assert list(u.indices) == sort_oracle_indices(v, m)
-            assert np.array_equal(u.values, v[u.indices])
+            assert list(top_k(v, m / d)) == sort_oracle_indices(v, m)
 
     def test_wide_vector_cut_inside_tie_block(self):
         rng = np.random.default_rng(11)
@@ -132,32 +138,29 @@ class TestTopK:
         mag = np.sort(np.abs(v))[::-1]
         kth = mag[m - 1]
         assert np.count_nonzero(mag > kth) < m < np.count_nonzero(mag >= kth)
-        u = top_k_sparsify(v, 0.01)
-        assert np.array_equal(u.indices, lexsort_oracle_indices(v, m))
+        assert np.array_equal(top_k(v, 0.01), lexsort_oracle_indices(v, m))
 
     @given(finite_vectors, st.floats(0.01, 1.0), st.integers(-10, 10))
     @settings(max_examples=100, deadline=None)
     def test_scale_equivariant_selection(self, v, rate, exponent):
         # power-of-two scales are exact, so magnitude order is preserved
         # even for vectors with near-tied entries
-        base = top_k_sparsify(v, rate)
-        scaled = top_k_sparsify(float(2.0 ** exponent) * v, rate)
-        assert np.array_equal(base.indices, scaled.indices)
+        scaled = top_k(float(2.0 ** exponent) * v, rate)
+        assert np.array_equal(top_k(v, rate), scaled)
 
     def test_scale_equivariance_nontrivial_factor(self):
         v = np.array([3.0, -7.5, 0.25, 5.0, -1.0])
         for c in (0.1, 3.7, 250.0):
-            assert np.array_equal(top_k_sparsify(v, 0.4).indices,
-                                  top_k_sparsify(c * v, 0.4).indices)
+            assert np.array_equal(top_k(v, 0.4), top_k(c * v, 0.4))
 
     def test_norm_dominance_exhaustive(self):
         """Top-k maximizes retained L2 norm over all m-subsets (d <= 12)."""
         rng = np.random.default_rng(7)
         for d, m in ((8, 3), (12, 5), (10, 1)):
             v = rng.standard_normal(d)
-            u = top_k_sparsify(v, m / d)
-            assert len(u) == m
-            kept = np.sum(v[u.indices] ** 2)
+            keep = top_k(v, m / d)
+            assert len(keep) == m
+            kept = np.sum(v[keep] ** 2)
             best = max(sum(v[list(s)] ** 2)
                        for s in itertools.combinations(range(d), m))
             assert kept == pytest.approx(best, rel=1e-12)
@@ -165,43 +168,38 @@ class TestTopK:
 
 class TestThreshold:
     def test_boundary_inclusive(self):
-        u = threshold_sparsify(np.array([0.05, -0.3, 0.2]), 0.2)
-        assert list(u.indices) == [1, 2]
+        assert list(threshold(np.array([0.05, -0.3, 0.2]), 0.2)) == [1, 2]
 
     def test_zero_tau_keeps_all(self):
         v = np.array([0.0, -1.0, 2.0])
-        u = threshold_sparsify(v, 0.0)
-        assert len(u) == 3
-        assert np.array_equal(densify(u), v)
+        assert list(threshold(v, 0.0)) == [0, 1, 2]
 
     def test_may_keep_nothing(self):
-        u = threshold_sparsify(np.array([0.1, -0.1]), 5.0)
-        assert len(u) == 0
-        assert np.array_equal(densify(u), np.zeros(2))
+        keep = threshold(np.array([0.1, -0.1]), 5.0)
+        assert len(keep) == 0
+        assert np.array_equal(densify(SparseUpdate(2, keep, [])), np.zeros(2))
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_sparsify(np.array([1.0]), -0.1)
+        with pytest.raises(ValueError, match=r"^tau: must be >= 0$"):
+            SparsityPolicy("threshold", tau=-0.1)
 
     @given(finite_vectors, st.floats(0.0, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_matches_linear_scan_oracle(self, v, tau):
-        u = threshold_sparsify(v, tau)
         expected = [j for j in range(len(v)) if abs(v[j]) >= tau]
-        assert list(u.indices) == expected
+        assert list(threshold(v, tau)) == expected
 
 
 class TestRandom:
     def test_full_rate_identity(self):
         v = np.random.default_rng(3).standard_normal(9)
-        u = random_sparsify(v, 1.0, rng_seed=5)
-        assert np.array_equal(densify(u), v)
+        assert list(random_subset(v, 1.0, rng_seed=5)) == list(range(9))
 
     def test_same_seed_same_subset(self):
         v = np.random.default_rng(4).standard_normal(50)
-        a = random_sparsify(v, 0.3, rng_seed=11)
-        b = random_sparsify(v, 0.3, rng_seed=11)
-        assert np.array_equal(a.indices, b.indices)
+        a = random_subset(v, 0.3, rng_seed=11)
+        b = random_subset(v, 0.3, rng_seed=11)
+        assert np.array_equal(a, b)
 
     def test_uniform_index_frequency(self):
         """Each index retained with frequency K +/- 0.02 over many draws."""
@@ -209,16 +207,19 @@ class TestRandom:
         v = np.ones(d)
         counts = np.zeros(d)
         for s in range(draws):
-            u = random_sparsify(v, 0.2, rng_seed=s)
-            assert len(u) == 20
-            counts[u.indices] += 1
+            keep = random_subset(v, 0.2, rng_seed=s)
+            assert len(keep) == 20
+            counts[keep] += 1
         freq = counts / draws
         assert np.all(np.abs(freq - 0.2) < 0.02)
 
     def test_values_match_positions(self):
+        # the seeded sorted choice, independent of the vector's values
         v = np.arange(10.0)
-        u = random_sparsify(v, 0.4, rng_seed=2)
-        assert np.array_equal(u.values, v[u.indices])
+        keep = random_subset(v, 0.4, rng_seed=2)
+        expected = np.sort(np.random.default_rng(2).choice(10, size=4, replace=False))
+        assert np.array_equal(keep, expected)
+        assert np.array_equal(random_subset(-v, 0.4, rng_seed=2), keep)
 
 
 class TestDensifyAndContainer:
@@ -231,10 +232,10 @@ class TestDensifyAndContainer:
 
     def test_nonzeros_only_at_retained(self):
         v = np.array([3.0, -1.0, 0.5, 2.0])
-        u = top_k_sparsify(v, 0.5)
-        dense = densify(u)
+        keep = top_k(v, 0.5)
+        dense = densify(SparseUpdate(4, keep, v[keep]))
         mask = np.zeros(4, dtype=bool)
-        mask[u.indices] = True
+        mask[keep] = True
         assert np.all(dense[~mask] == 0.0)
         assert np.array_equal(dense[mask], v[mask])
 
@@ -290,17 +291,22 @@ class TestPolicyDispatch:
             SparsityPolicy("banana")
 
     def test_dispatch_matches_direct_calls(self):
+        """Each kind's indices equal its rule written out directly."""
         v = np.random.default_rng(8).standard_normal(20)
-        assert sparsify(v, SparsityPolicy("top_k", rate=0.25)) == top_k_sparsify(v, 0.25)
-        assert sparsify(v, SparsityPolicy("threshold", tau=0.5)) == \
-            threshold_sparsify(v, 0.5)
-        assert sparsify(v, SparsityPolicy("random", rate=0.25), rng_seed=9) == \
-            random_sparsify(v, 0.25, rng_seed=9)
-        dense = sparsify(v, SparsityPolicy("dense"))
-        assert np.array_equal(densify(dense), v)
+        cases = [
+            (SparsityPolicy("top_k", rate=0.25), lexsort_oracle_indices(v, 5)),
+            (SparsityPolicy("threshold", tau=0.5), np.flatnonzero(np.abs(v) >= 0.5)),
+            (SparsityPolicy("random", rate=0.25),
+             np.sort(np.random.default_rng(9).choice(20, size=5, replace=False))),
+            (SparsityPolicy("dense"), np.arange(20)),
+        ]
+        for policy, expected in cases:
+            keep = sparsify(v, policy, rng_seed=9)
+            assert keep.dtype == np.int64
+            assert np.array_equal(keep, expected)
 
     def test_random_requires_seed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="random policy needs an rng_seed"):
             sparsify(np.ones(3), SparsityPolicy("random", rate=0.5))
 
 
