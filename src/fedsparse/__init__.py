@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .config import (ConfigError, CsvDataConfig, ExperimentConfig, ModelConfig,
                      SyntheticDataConfig, emit_config, parse_config,
                      parse_config_dict)
-from .data import Dataset, NormStats, gen_synthetic, load_csv, normalize, save_csv, \
+from .data import Dataset, NormStats, csv_text, gen_synthetic, load_csv, normalize, \
     train_test_split
 from .federation import (ClientState, ClientUpdate, ExperimentResult, RoundMetrics,
                          ServerState, TrainingDiverged, aggregate, client_local_train,

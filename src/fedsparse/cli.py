@@ -25,7 +25,7 @@ from . import __version__
 from .config import (ConfigError, ExperimentConfig, SyntheticDataConfig, _build,
                      _check_keys, _parse_policy, _read_json, _require, _typed,
                      _typed_list, emit_config, parse_config)
-from .data import gen_synthetic, save_csv
+from .data import csv_text, gen_synthetic
 from .federation import ExperimentResult, RoundMetrics, run_experiment
 from .sparsify import POLICY_KINDS, DecodeError, SparsityPolicy, decode
 
@@ -275,8 +275,7 @@ def _cmd_gen_data(args) -> int:
     _require(seed >= 0, "spec.seed", "must be >= 0")
     ds = gen_synthetic(data.classes, data.per_class, data.input_dim, data.separation,
                        rng_seed=seed)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    save_csv(ds, args.out)
+    _atomic_write(args.out, csv_text(ds))
     print(f"wrote {len(ds)} samples ({ds.class_count} classes, "
           f"input_dim={ds.input_dim}) to {args.out}")
     return EXIT_OK

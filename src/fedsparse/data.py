@@ -109,11 +109,10 @@ def load_csv(path, input_dim: int, class_count: int, skip_header: bool = False) 
     return Dataset(np.array(inputs), np.array(labels), class_count)
 
 
-def save_csv(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label in zip(ds.inputs, ds.labels):
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write(f",{int(label)}\n")
+def csv_text(ds: Dataset) -> str:
+    """The dataset in the CSV interchange format that load_csv reads."""
+    return "".join(",".join(repr(float(x)) for x in row) + f",{int(label)}\n"
+                   for row, label in zip(ds.inputs, ds.labels))
 
 
 @dataclass

@@ -3,9 +3,10 @@
 One round: the server broadcasts the global parameters to the selected
 clients, each client runs local SGD on its partition, uploads a
 (possibly sparsified) update, and the server forms the data-weighted
-average of the reconstructed client models. Communication is metered
-through the wire codec: downlink as one dense encoding per selected
-client, uplink as the actual encoded size of each upload.
+average of the client models, each the broadcast model with the
+uploaded values written over it. Communication is metered through the
+wire codec: downlink as one dense encoding per selected client, uplink
+as the actual encoded size of each upload.
 
 Two sparsification sites are supported:
 
@@ -35,6 +36,7 @@ from .config import CsvDataConfig, ExperimentConfig, SyntheticDataConfig
 from .data import Dataset, gen_synthetic, load_csv, normalize, train_test_split
 from .model import ModelSpec
 from .partition import Partition, partition_dataset
+# densify is unused here; perfbench/run.py TRACED looks it up on this module
 from .sparsify import SparseUpdate, densify, encode, encoded_size, retained_count, sparsify
 
 _SELECT_TAG = 1
@@ -56,26 +58,24 @@ class ClientState:
 
 @dataclass
 class ClientUpdate:
-    """One client's upload plus its bookkeeping.
+    """One client's upload: the server's copy of the client model is the
+    broadcast model with `values` written at `indices`.
 
-    In uploaded_delta mode, `update` holds the sparsified round delta
-    (what goes on the wire) and `retained_params` the client's exact
-    post-training parameter values at update.indices. The server
-    reconstruction prev + densify(delta) is evaluated through those
-    exact values: per retained coordinate the two are equal in real
-    arithmetic, but only the substitution keeps the dense-policy case
-    bit-identical to uncompressed training.
+    uploaded_delta: `indices` is the set the policy keeps of the round
+    delta and `values` the client's exact parameters there. The wire
+    carries the delta at those indices; writing the exact parameters
+    instead of adding the delta keeps the dense-policy case bit-identical
+    to uncompressed training.
 
-    In local_gradient mode the full local model travels in `new_params`.
+    local_gradient: `indices` is every coordinate and `values` the whole
+    local model (dense uplink cost).
     """
 
     client_id: int
     sample_count: int
-    site: str
-    update: SparseUpdate | None = None
-    retained_params: np.ndarray | None = None
-    new_params: np.ndarray | None = None
-    uplink_bytes: int = 0
+    indices: np.ndarray
+    values: np.ndarray
+    uplink_bytes: int
 
 
 @dataclass
@@ -150,55 +150,21 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
                 )
 
     if cfg.sparsify_site == "local_gradient":
-        return ClientUpdate(
-            client_id=client.client_id,
-            sample_count=int(idx.shape[0]),
-            site=cfg.sparsify_site,
-            new_params=w,
-            uplink_bytes=encoded_size(w.shape[0]),
-        )
-    seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
-    keep = sparsify(delta, cfg.policy, seed)
-    update = SparseUpdate(w.shape[0], keep, delta[keep],
-                          round=round_index, client_id=client.client_id)
+        keep = np.arange(w.shape[0])
+        uplink_bytes = encoded_size(w.shape[0])
+    else:
+        seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
+        keep = sparsify(delta, cfg.policy, seed)
+        uplink_bytes = len(encode(SparseUpdate(w.shape[0], keep, delta[keep],
+                                               round=round_index,
+                                               client_id=client.client_id)))
     return ClientUpdate(
         client_id=client.client_id,
         sample_count=int(idx.shape[0]),
-        site=cfg.sparsify_site,
-        update=update,
-        retained_params=w[keep],
-        uplink_bytes=len(encode(update)),
+        indices=keep,
+        values=w[keep],
+        uplink_bytes=uplink_bytes,
     )
-
-
-def reconstruct_params(update: ClientUpdate, prev: np.ndarray) -> np.ndarray:
-    """The client model the server aggregates for this upload.
-
-    uploaded_delta: prev + densify(delta), evaluated exactly through the
-    carried parameter values when available (see ClientUpdate); falls
-    back to the additive form for wire-decoded updates.
-    """
-    if update.site == "local_gradient":
-        if update.new_params is None:
-            raise ValueError("local_gradient update is missing new_params")
-        if update.new_params.shape != prev.shape:
-            raise ValueError(
-                f"client {update.client_id} params have shape "
-                f"{update.new_params.shape}, expected {prev.shape}"
-            )
-        return update.new_params
-    if update.update is None:
-        raise ValueError("uploaded_delta update is missing its sparse delta")
-    if update.update.dim != prev.shape[0]:
-        raise ValueError(
-            f"client {update.client_id} delta has dim {update.update.dim}, "
-            f"expected {prev.shape[0]}"
-        )
-    if update.retained_params is None:
-        return prev + densify(update.update)
-    out = prev.copy()
-    out[update.update.indices] = update.retained_params
-    return out
 
 
 def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
@@ -206,7 +172,8 @@ def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
 
     Updates are combined in ascending client_id order regardless of the
     list order. A zero sample count is rejected rather than ignored.
-    When every reconstructed model is identical the average is that
+    Each client model is `prev` with the upload's values written at its
+    indices. When every client model is identical the average is that
     model exactly (this keeps lr = 0 rounds a strict no-op).
     """
     if not updates:
@@ -216,15 +183,22 @@ def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
             raise ValueError(f"client {u.client_id} has sample_count {u.sample_count}")
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = sum(u.sample_count for u in ordered)
-    # one reconstructed model alive at a time, not one per client
-    first = reconstruct_params(ordered[0], prev)
+    first = None
     identical = True
     acc = np.zeros_like(prev)
     for u in ordered:
-        m = first if u is ordered[0] else reconstruct_params(u, prev)
+        k = u.indices
+        if len(k) != len(u.values) or (len(k) and (k.min() < 0 or k.max() >= len(prev))):
+            raise ValueError(f"client {u.client_id} upload does not fit a model of "
+                             f"dim {len(prev)}")
+        # one client model alive at a time, not one per client
+        m = prev.copy()
+        m[k] = u.values
+        if first is None:
+            first = m
         identical = identical and np.array_equal(m, first)
         acc += (u.sample_count / total) * m
-    return first.copy() if identical else acc
+    return first if identical else acc
 
 
 def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
@@ -275,13 +249,13 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
             round_index=t))
     uplink = sum(u.uplink_bytes for u in updates)
 
-    new_params = aggregate(updates, server.global_params)
-    if not np.isfinite(new_params).all():
+    aggregated = aggregate(updates, server.global_params)
+    if not np.isfinite(aggregated).all():
         raise TrainingDiverged(f"aggregated parameters non-finite in round {t}")
 
     partitions = [c.partition for c in clients]
-    loss_value = global_loss(model_spec, new_params, train_ds, partitions)
-    accuracy = model_ops.evaluate(model_spec, new_params, test_ds.inputs, test_ds.labels)
+    loss_value = global_loss(model_spec, aggregated, train_ds, partitions)
+    accuracy = model_ops.evaluate(model_spec, aggregated, test_ds.inputs, test_ds.labels)
 
     metrics = RoundMetrics(
         round=t,
@@ -291,7 +265,7 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
         downlink_bytes=downlink,
         elapsed_s=time.perf_counter() - t0,
     )
-    server.global_params = new_params
+    server.global_params = aggregated
     server.round = t + 1
     server.history.append(metrics)
     return metrics
@@ -323,21 +297,17 @@ class ExperimentResult:
 
 
 def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Materialize the configured dataset and its train/test split."""
-    if isinstance(config.dataset, SyntheticDataConfig):
-        ds = gen_synthetic(
-            config.dataset.classes, config.dataset.per_class,
-            config.dataset.input_dim, config.dataset.separation,
-            [config.seed, _DATA_TAG])
-        train, test = train_test_split(ds, config.test_fraction,
-                                       [config.seed, _SPLIT_TAG])
-        return train, test
-    assert isinstance(config.dataset, CsvDataConfig)
-    ds = load_csv(config.dataset.path, config.dataset.input_dim,
-                  config.dataset.classes, skip_header=config.dataset.skip_header)
-    train, test = train_test_split(ds, config.test_fraction,
-                                   [config.seed, _SPLIT_TAG])
-    if config.dataset.normalize:
+    """Materialize the configured dataset and its train/test split; a CSV
+    dataset with `normalize` set is scaled by the train statistics."""
+    data = config.dataset
+    if isinstance(data, SyntheticDataConfig):
+        ds = gen_synthetic(data.classes, data.per_class, data.input_dim,
+                           data.separation, [config.seed, _DATA_TAG])
+    else:
+        ds = load_csv(data.path, data.input_dim, data.classes,
+                      skip_header=data.skip_header)
+    train, test = train_test_split(ds, config.test_fraction, [config.seed, _SPLIT_TAG])
+    if isinstance(data, CsvDataConfig) and data.normalize:
         train, stats = normalize(train)
         test = stats.apply(test)
     return train, test

@@ -5,6 +5,8 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import fedsparse
 from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, main
 from fedsparse.config import parse_config
-from fedsparse.federation import run_experiment
+from fedsparse.federation import build_dataset, run_experiment
 from fedsparse.sparsify import SparseUpdate, encode
 
 
@@ -37,12 +39,12 @@ class TestRun:
         path, doc = smoke_config
         assert main(["run", str(path)]) == EXIT_OK
         out_dir = doc["output_dir"]
-        metrics = open(os.path.join(out_dir, "metrics.csv")).read().splitlines()
+        metrics = Path(out_dir, "metrics.csv").read_text().splitlines()
         assert metrics[0] == "round,global_loss,top1_accuracy,uplink_bytes,downlink_bytes"
         assert len(metrics) == 3  # header + one row per round
         assert metrics[1].split(",")[0] == "0"
 
-        summary = json.load(open(os.path.join(out_dir, "summary.json")))
+        summary = json.loads(Path(out_dir, "summary.json").read_text())
         assert summary["rounds_completed"] == 2
         assert summary["config"]["seed"] == 3
         assert "wall_time_s" in summary and "version" in summary
@@ -51,14 +53,14 @@ class TestRun:
                 for r in metrics[1:]]
         assert summary["total_uplink_bytes"] == sum(rows)
 
-        partitions = open(os.path.join(out_dir, "partitions.csv")).read().splitlines()
+        partitions = Path(out_dir, "partitions.csv").read_text().splitlines()
         assert partitions[0] == "sample_index,client_id"
         assert len(partitions) == 1 + 48  # train split of 60 samples at 0.2
 
     def test_partitions_csv_lists_every_sample_once(self, smoke_config):
         path, doc = smoke_config
         assert main(["run", str(path), "--quiet"]) == EXIT_OK
-        lines = open(os.path.join(doc["output_dir"], "partitions.csv")).read().splitlines()
+        lines = Path(doc["output_dir"], "partitions.csv").read_text().splitlines()
         assert lines[0] == "sample_index,client_id"
         pairs = [tuple(map(int, line.split(","))) for line in lines[1:]]
         assert [i for i, _ in pairs] == list(range(48))  # sorted, each sample once
@@ -82,9 +84,9 @@ class TestRun:
     def test_rerun_is_byte_identical(self, smoke_config):
         path, doc = smoke_config
         assert main(["run", str(path)]) == EXIT_OK
-        first = open(os.path.join(doc["output_dir"], "metrics.csv"), "rb").read()
+        first = Path(doc["output_dir"], "metrics.csv").read_bytes()
         assert main(["run", str(path)]) == EXIT_OK
-        second = open(os.path.join(doc["output_dir"], "metrics.csv"), "rb").read()
+        second = Path(doc["output_dir"], "metrics.csv").read_bytes()
         assert first == second
 
     def test_stream_rows_include_elapsed(self, smoke_config, capsys):
@@ -98,7 +100,7 @@ class TestRun:
         path, doc = smoke_config
         monkeypatch.setenv("FEDSPARSE_SEED", "99")
         assert main(["run", str(path)]) == EXIT_OK
-        summary = json.load(open(os.path.join(doc["output_dir"], "summary.json")))
+        summary = json.loads(Path(doc["output_dir"], "summary.json").read_text())
         assert summary["config"]["seed"] == 99
         monkeypatch.setenv("FEDSPARSE_SEED", "not-an-int")
         assert main(["run", str(path)]) == EXIT_USAGE
@@ -114,6 +116,36 @@ class TestRun:
         assert main(["run", str(path), "--quiet"]) == EXIT_USAGE
         assert "config error: alpha: must be >= 1e-05" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
+
+    def test_csv_dataset_is_normalized_by_train_statistics(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"classes": 3, "per_class": 20, "input_dim": 4,
+                                    "separation": 2.0, "seed": 1}))
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", str(spec), "-o", str(data)]) == EXIT_OK
+        doc = {
+            "seed": 3,
+            "dataset": {"kind": "csv", "path": str(data), "input_dim": 4,
+                        "classes": 3, "normalize": True},
+            "policy": {"kind": "top_k", "rate": 0.3},
+            "rounds": 2, "batch_size": 8, "alpha": 0.5,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--quiet"]) == EXIT_OK
+        for name in ("metrics.csv", "summary.json", "partitions.csv"):
+            assert (tmp_path / "out" / name).is_file()
+
+        cfg = parse_config(path)
+        train, test = build_dataset(cfg)
+        raw_train, raw_test = build_dataset(
+            replace(cfg, dataset=replace(cfg.dataset, normalize=False)))
+        mean, std = raw_train.inputs.mean(axis=0), raw_train.inputs.std(axis=0)
+        assert np.array_equal(train.inputs, (raw_train.inputs - mean) / std)
+        assert np.array_equal(test.inputs, (raw_test.inputs - mean) / std)
+        assert np.array_equal(test.labels, raw_test.labels)
+        assert not np.allclose(test.inputs.mean(axis=0), 0.0)  # not its own statistics
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -208,7 +240,7 @@ class TestSweep:
                                           "rate": [0.1, 0.2, 0.3, 0.4],
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        rows = open(os.path.join(doc["output_dir"], "sweep.csv")).read().splitlines()
+        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()
         assert rows[0] == "alpha,policy,rate,final_accuracy,total_bytes,status"
         assert len(rows) == 9  # header + 2 alphas x 4 rates
         assert all(r.endswith(",ok") for r in rows[1:])
@@ -223,7 +255,7 @@ class TestSweep:
                                           "rate": [0.1, 0.2, 0.3, 0.4],
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        rows = open(os.path.join(doc["output_dir"], "sweep.csv")).read().splitlines()[1:]
+        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]
         totals = [int(r.split(",")[4]) for r in rows]
         assert totals == sorted(totals)
         assert len(set(totals)) == len(totals)  # strictly increasing
@@ -234,11 +266,10 @@ class TestSweep:
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3],
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        cell_metrics = open(os.path.join(doc["output_dir"], "cells", "cell_000",
-                                         "metrics.csv")).read()
+        cell_metrics = Path(doc["output_dir"], "cells", "cell_000", "metrics.csv").read_text()
         # derived seed for cell 0 is base + 0, alpha/policy equal the base config
         assert main(["run", str(path), "--out", str(tmp_path / "direct")]) == EXIT_OK
-        direct_metrics = open(os.path.join(tmp_path, "direct", "metrics.csv")).read()
+        direct_metrics = Path(tmp_path, "direct", "metrics.csv").read_text()
         assert cell_metrics == direct_metrics
 
     def test_partial_failure_exit_code(self, smoke_config, tmp_path, capsys):
@@ -249,7 +280,7 @@ class TestSweep:
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
             EXIT_PARTIAL
-        rows = open(os.path.join(doc["output_dir"], "sweep.csv")).read().splitlines()
+        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()
         statuses = [r.rsplit(",", 1)[1] for r in rows[1:]]
         assert statuses == ["ok", "failed", "failed", "failed"]
         err = capsys.readouterr().err
@@ -311,8 +342,8 @@ class TestSweep:
                      "--out", str(tmp_path / "serial")]) == EXIT_OK
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
                      "--jobs", "2", "--out", str(tmp_path / "par")]) == EXIT_OK
-        serial = open(os.path.join(tmp_path, "serial", "sweep.csv")).read()
-        par = open(os.path.join(tmp_path, "par", "sweep.csv")).read()
+        serial = Path(tmp_path, "serial", "sweep.csv").read_text()
+        par = Path(tmp_path, "par", "sweep.csv").read_text()
         assert serial == par
 
     def test_jobs_capped_at_cell_count(self, smoke_config, tmp_path, monkeypatch):
@@ -357,23 +388,28 @@ class TestSweep:
 
 
 def test_outputs_get_the_umask_mode(smoke_config, tmp_path):
-    """run and sweep outputs are created as open(path, "w") creates a file."""
+    """run, sweep and gen-data outputs are created as open(path, "w") creates a file."""
     path, _ = smoke_config
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5], "rate": [0.3], "policy": ["top_k"]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": 2, "per_class": 5, "input_dim": 3}))
     old = os.umask(0o027)
     try:
         assert main(["run", str(path), "--quiet", "--out", str(tmp_path / "run")]) \
             == EXIT_OK
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
                      "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        assert main(["gen-data", str(spec), "-o", str(tmp_path / "data" / "data.csv")]) \
+            == EXIT_OK
     finally:
         os.umask(old)
     cell = os.path.join("sweep", "cells", "cell_000")
     outputs = [os.path.join(d, name) for d in ("run", cell)
                for name in ("metrics.csv", "summary.json", "partitions.csv")]
-    outputs += [os.path.join("sweep", "sweep.csv"), os.path.join("sweep", "sweep.txt")]
+    outputs += [os.path.join("sweep", "sweep.csv"), os.path.join("sweep", "sweep.txt"),
+                os.path.join("data", "data.csv")]
     for name in outputs:
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
-    for d in ("run", "sweep", cell):
+    for d in ("run", "sweep", cell, "data"):
         assert not [f for f in os.listdir(tmp_path / d) if f.startswith(".tmp-")]

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsparse import federation
 from fedsparse.config import ExperimentConfig, SyntheticDataConfig, parse_config_dict
 from fedsparse.data import Dataset, gen_synthetic
 from fedsparse.federation import (ClientState, ClientUpdate, ServerState,
                                   TrainingDiverged, aggregate, client_local_train,
-                                  global_loss, reconstruct_params, run_experiment,
-                                  run_round)
+                                  global_loss, run_experiment, run_round)
 from fedsparse.model import (ModelSpec, backward, group_losses, init_params, param_count,
                              unpack_params)
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
-from fedsparse.sparsify import SparsityPolicy, encoded_size
+from fedsparse.sparsify import SparsityPolicy, decode, encode, encoded_size
 
 
 def make_setup(n=30, input_dim=4, classes=3, seed=0):
@@ -40,8 +40,21 @@ def cfg_with(policy, site="uploaded_delta", lr=0.05, epochs=1, batch=8, rounds=1
                             sparsify_site=site)
 
 
+@pytest.fixture
+def wire(monkeypatch):
+    """Every SparseUpdate client_local_train hands to the codec, in call order."""
+    sent = []
+
+    def capture(update):
+        sent.append(update)
+        return encode(update)
+
+    monkeypatch.setattr(federation, "encode", capture)
+    return sent
+
+
 class TestClientLocalTrain:
-    def test_single_step_delta_is_minus_lr_grad_exactly(self):
+    def test_single_step_delta_is_minus_lr_grad_exactly(self, wire):
         ds, spec = make_setup(n=6)
         cfg = cfg_with(SparsityPolicy("top_k", rate=1.0), batch=6)
         client = single_client(ds)
@@ -53,16 +66,18 @@ class TestClientLocalTrain:
         order = rng2.permutation(6)
         g = backward(spec, w0, ds.inputs[order], ds.labels[order])
         expected = -(cfg.learning_rate * g)
-        assert np.array_equal(update.update.values, expected)
+        [sent] = wire
+        assert np.array_equal(sent.values, expected)
         assert update.sample_count == 6
 
-    def test_zero_lr_uploads_zero_delta(self):
+    def test_zero_lr_uploads_zero_delta(self, wire):
         ds, spec = make_setup()
         policy = SparsityPolicy("top_k", rate=0.2)
         cfg = cfg_with(policy, lr=0.0, epochs=2)
         update = client_local_train(single_client(ds), init_params(spec), cfg, spec,
                                     ds, np.random.default_rng(0))
-        assert np.all(update.update.values == 0.0)
+        [sent] = wire
+        assert np.all(sent.values == 0.0)
         m = max(1, math.ceil(0.2 * init_params(spec).shape[0] - 1e-9))
         assert update.uplink_bytes == encoded_size(m)
 
@@ -89,8 +104,31 @@ class TestClientLocalTrain:
                 dense = np.zeros(d)
                 dense[keep] = g[keep]
                 w = w - cfg.learning_rate * dense
-        assert np.array_equal(update.new_params, w)
+        assert np.array_equal(update.indices, np.arange(d))
+        assert np.array_equal(update.values, w)
         assert update.uplink_bytes == encoded_size(d)
+
+    @pytest.mark.parametrize("policy", [
+        SparsityPolicy("top_k", rate=0.2), SparsityPolicy("threshold", tau=1e-3),
+        SparsityPolicy("random", rate=0.3), SparsityPolicy("dense"),
+    ], ids=lambda p: p.kind)
+    def test_wire_update_matches_the_upload(self, wire, policy):
+        """The wire carries the delta at the uploaded indices: decoded, it is
+        the uploaded parameters minus the broadcast ones, up to float32
+        round-off."""
+        ds, spec = make_setup(n=24, seed=4)
+        cfg = cfg_with(policy, epochs=2)
+        w0 = init_params(spec)
+        update = client_local_train(single_client(ds), w0, cfg, spec, ds,
+                                    np.random.default_rng(7), round_index=4)
+        [sent] = wire
+        assert update.indices.size > 0
+        assert np.array_equal(sent.indices, update.indices)
+        assert (sent.client_id, sent.round) == (update.client_id, 4)
+        assert update.uplink_bytes == len(encode(sent))
+        np.testing.assert_allclose(decode(encode(sent)).values,
+                                   update.values - w0[update.indices],
+                                   rtol=2 ** -23, atol=0)
 
     def test_divergence_guard_names_client_and_batch(self):
         ds, spec = make_setup()
@@ -109,21 +147,11 @@ class TestClientLocalTrain:
                                np.random.default_rng(0))
 
 
-def dense_delta_update(client_id, count, prev, new_params):
-    """Build an uploaded_delta ClientUpdate carrying a full-dimension delta."""
-    from fedsparse.sparsify import SparseUpdate
-    d = prev.shape[0]
-    return ClientUpdate(
-        client_id=client_id, sample_count=count, site="uploaded_delta",
-        update=SparseUpdate(d, np.arange(d), new_params - prev, client_id=client_id),
-        retained_params=np.asarray(new_params, dtype=np.float64).copy(),
-    )
-
-
-def params_update(client_id, count, new_params):
-    return ClientUpdate(client_id=client_id, sample_count=count,
-                        site="local_gradient",
-                        new_params=np.asarray(new_params, dtype=np.float64))
+def params_update(client_id, count, params, indices=None):
+    """An upload of `params`, at `indices` (default: every coordinate)."""
+    values = np.asarray(params, dtype=np.float64)
+    indices = np.arange(values.shape[0]) if indices is None else np.asarray(indices)
+    return ClientUpdate(client_id, count, indices, values, encoded_size(len(indices)))
 
 
 class TestAggregate:
@@ -136,8 +164,15 @@ class TestAggregate:
     def test_single_client_bitwise(self):
         prev = np.array([0.25, -0.5])
         target = np.array([0.1, 0.7])
-        out = aggregate([dense_delta_update(0, 5, prev, target)], prev)
+        out = aggregate([params_update(0, 5, target)], prev)
         assert np.array_equal(out, target)
+
+    def test_values_written_over_prev(self):
+        prev = np.array([1.0, 2.0, 3.0, 4.0])
+        out = aggregate([params_update(0, 1, [0.5, -0.25], indices=[0, 2]),
+                         params_update(1, 3, [8.0], indices=[3])], prev)
+        assert np.array_equal(out, 0.25 * np.array([0.5, 2.0, -0.25, 4.0])
+                              + 0.75 * np.array([1.0, 2.0, 3.0, 8.0]))
 
     def test_weighted_sum_matches_hand_computation(self):
         rng = np.random.default_rng(1)
@@ -164,23 +199,19 @@ class TestAggregate:
             aggregate([params_update(0, 0, [1.0, 2.0])], prev)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
+        fits = "client 0 upload does not fit a model of dim 2"
+        with pytest.raises(ValueError, match=fits):
             aggregate([params_update(0, 3, [1.0, 2.0, 3.0])], np.zeros(2))
-        with pytest.raises(ValueError, match="dim"):
-            aggregate([dense_delta_update(0, 3, np.zeros(3), np.ones(3))], np.zeros(2))
+        with pytest.raises(ValueError, match=fits):
+            aggregate([params_update(0, 3, np.ones(3))], np.zeros(2))
+        with pytest.raises(ValueError, match=fits):
+            aggregate([params_update(0, 3, [1.0], indices=[-1])], np.zeros(2))
+        with pytest.raises(ValueError, match=fits):
+            aggregate([params_update(0, 3, [1.0, 2.0], indices=[0])], np.zeros(2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([], np.zeros(2))
-
-    def test_wire_decoded_update_uses_additive_form(self):
-        from fedsparse.sparsify import SparseUpdate, decode, encode
-        prev = np.array([1.0, 2.0, 3.0, 4.0])
-        wire = decode(encode(SparseUpdate(4, [0, 2], [0.5, -0.25])))
-        u = ClientUpdate(client_id=0, sample_count=1, site="uploaded_delta",
-                         update=wire)
-        out = reconstruct_params(u, prev)
-        assert np.allclose(out, [1.5, 2.0, 2.75, 4.0])
 
 
 def reference_logits(spec, params, inputs):
