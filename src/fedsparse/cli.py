@@ -15,19 +15,19 @@ config seed. Output files are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
+import functools
 import json
 import os
 import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import (ConfigError, ExperimentConfig, SyntheticDataConfig, _build,
-                     _check_keys, _parse_policy, _read_json, _require, _typed,
-                     _typed_list, emit_config, parse_config)
+from .config import (ConfigError, ExperimentConfig, cell_policy, emit_config, parse_config,
+                     parse_data_spec, parse_grid)
 from .data import csv_text, gen_synthetic
 from .federation import ExperimentResult, RoundMetrics, run_experiment
-from .sparsify import POLICY_KINDS, DecodeError, SparsityPolicy, decode
+from .sparsify import DecodeError, decode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,11 +41,7 @@ SWEEP_HEADER = "alpha,policy,rate,final_accuracy,total_bytes,status"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -133,28 +129,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _policy_for_cell(kind: str, rate: float) -> SparsityPolicy:
-    """The cell's policy, checked as a config's would be; a threshold cell
-    takes the grid rate as tau, a dense cell ignores it."""
-    params = {"dense": {}, "threshold": {"tau": rate}}.get(kind, {"rate": rate})
-    return _parse_policy({"kind": kind, **params})
-
-
-def _load_grid(path) -> tuple[list[float], list[str], list[float]]:
-    obj = _read_json(path, "grid")
-    _require(isinstance(obj, dict), "grid", "must be a JSON object")
-    _check_keys(obj, {"alpha", "policy", "rate"}, "grid")
-    alphas = _typed_list(obj.get("alpha", []), float, "grid.alpha")
-    policies = _typed_list(obj.get("policy", ["top_k"]), str, "grid.policy")
-    rates = _typed_list(obj.get("rate", []), float, "grid.rate")
-    if not alphas or not rates or not policies:
-        raise ConfigError("grid: alpha, policy and rate lists must be nonempty")
-    for kind in policies:
-        if kind not in POLICY_KINDS:
-            raise ConfigError(f"grid.policy: unknown kind {kind!r}")
-    return alphas, policies, rates
-
-
 def _run_cell(base: ExperimentConfig, out_root: str, index: int,
               alpha: float, kind: str, rate: float):
     """Build and run one sweep cell; raises on any invalid cell parameter."""
@@ -162,7 +136,7 @@ def _run_cell(base: ExperimentConfig, out_root: str, index: int,
         base,
         seed=base.seed + index,  # derived per-cell seed
         alpha=alpha,
-        policy=_policy_for_cell(kind, rate),
+        policy=cell_policy(kind, rate),
         output_dir=os.path.join(out_root, "cells", f"cell_{index:03d}"),
     )
     result = run_experiment(cfg)
@@ -171,23 +145,19 @@ def _run_cell(base: ExperimentConfig, out_root: str, index: int,
             result.total_uplink_bytes + result.total_downlink_bytes)
 
 
-def _pivot_table(rows) -> str:
-    """Plain-text accuracy pivot: one block per policy, rate x alpha."""
-    alphas = sorted({r["alpha"] for r in rows})
+def _pivot_table(pivot: dict) -> str:
+    """Plain-text accuracy pivot: one block per policy, rate x alpha, from
+    {(policy, rate, alpha): accuracy, or None for a failed cell}."""
+    alphas = sorted({alpha for _, _, alpha in pivot})
     out = []
-    for kind in sorted({r["policy"] for r in rows}):
+    for kind in sorted({k for k, _, _ in pivot}):
         out.append(f"policy: {kind}")
-        header = "rate".ljust(10) + "".join(f"alpha={a:<12g}" for a in alphas)
-        out.append(header)
-        for rate in sorted({r["rate"] for r in rows if r["policy"] == kind}):
+        out.append(("rate".ljust(10) + "".join(f"alpha={a:<12g}" for a in alphas)).rstrip())
+        for rate in sorted({r for k, r, _ in pivot if k == kind}):
             cells = [f"{rate:<10g}"]
             for a in alphas:
-                match = [r for r in rows
-                         if r["policy"] == kind and r["rate"] == rate and r["alpha"] == a]
-                if match and match[0]["status"] == "ok":
-                    cells.append(f"{match[0]['final_accuracy']:<18.4f}")
-                else:
-                    cells.append(f"{'-':<18}")
+                accuracy = pivot.get((kind, rate, a))
+                cells.append(f"{'-':<18}" if accuracy is None else f"{accuracy:<18.4f}")
             out.append("".join(cells).rstrip())
         out.append("")
     return "\n".join(out)
@@ -195,58 +165,44 @@ def _pivot_table(rows) -> str:
 
 def _cmd_sweep(args) -> int:
     base = _apply_seed_env(parse_config(args.config))
-    alphas, policies, rates = _load_grid(args.grid)
+    cells = parse_grid(args.grid)
     out_root = args.out if args.out else base.output_dir
-    cells = list(enumerate(itertools.product(alphas, policies, rates)))
-
-    outcomes: list[object] = []
-    # every worker forks at the first submit, so never start more than cells
-    workers = min(args.jobs, len(cells))
-    if workers > 1:
-        # imported here so that `run` and serial sweeps load no process pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, base, out_root, i, alpha, kind, rate)
-                       for i, (alpha, kind, rate) in cells]
-            for fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:
-                    outcomes.append(exc)
-    else:
-        for i, (alpha, kind, rate) in cells:
-            try:
-                outcomes.append(_run_cell(base, out_root, i, alpha, kind, rate))
-            except Exception as exc:
-                outcomes.append(exc)
-
-    rows = []
-    failures = 0
-    for (_, (alpha, kind, rate)), outcome in zip(cells, outcomes):
-        column_rate = 1.0 if kind == "dense" else rate
-        row = {"alpha": alpha, "policy": kind, "rate": column_rate}
-        if isinstance(outcome, Exception):
-            failures += 1
-            row.update(final_accuracy=None, total_bytes=None, status="failed")
-            print(f"cell alpha={alpha} policy={kind} rate={rate} "
-                  f"failed: {outcome}", file=sys.stderr)
-        else:
-            accuracy, total_bytes = outcome
-            row.update(final_accuracy=accuracy, total_bytes=total_bytes, status="ok")
-        rows.append(row)
 
     lines = [SWEEP_HEADER]
-    for r in rows:
-        acc = "" if r["final_accuracy"] is None else repr(r["final_accuracy"])
-        total = "" if r["total_bytes"] is None else str(r["total_bytes"])
-        lines.append(f"{r['alpha']!r},{r['policy']},{r['rate']!r},{acc},{total},{r['status']}")
+    pivot = {}  # (policy, rate column, alpha) -> accuracy; the first cell wins
+    failures = 0
+    # every worker forks at the first submit, so never start more than cells
+    workers = min(args.jobs, len(cells))
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here so that `run` and serial sweeps load no process pool
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            outcomes = [pool.submit(_run_cell, base, out_root, i, *cell).result
+                        for i, cell in enumerate(cells)]
+        else:
+            outcomes = [functools.partial(_run_cell, base, out_root, i, *cell)
+                        for i, cell in enumerate(cells)]
+        for (alpha, kind, rate), outcome in zip(cells, outcomes):
+            column_rate = 1.0 if kind == "dense" else rate
+            try:
+                accuracy, total_bytes = outcome()
+                lines.append(f"{alpha!r},{kind},{column_rate!r},{accuracy!r},{total_bytes},ok")
+            except Exception as exc:
+                failures += 1
+                accuracy = None
+                lines.append(f"{alpha!r},{kind},{column_rate!r},,,failed")
+                print(f"cell alpha={alpha} policy={kind} rate={rate} "
+                      f"failed: {exc}", file=sys.stderr)
+            pivot.setdefault((kind, column_rate, alpha), accuracy)
+
     _atomic_write(os.path.join(out_root, "sweep.csv"), "\n".join(lines) + "\n")
-    table = _pivot_table(rows)
+    table = _pivot_table(pivot)
     _atomic_write(os.path.join(out_root, "sweep.txt"), table)
     if not args.quiet:
         print(table)
 
-    if failures == len(rows):
+    if failures == len(cells):
         return EXIT_RUNTIME
     if failures:
         return EXIT_PARTIAL
@@ -269,10 +225,7 @@ def _cmd_dump_update(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    obj = _read_json(args.spec, "spec")
-    data = _build(SyntheticDataConfig, obj, "spec", extra={"seed"})
-    seed = _typed(obj.get("seed", 0), int, "spec.seed")
-    _require(seed >= 0, "spec.seed", "must be >= 0")
+    data, seed = parse_data_spec(args.spec)
     ds = gen_synthetic(data.classes, data.per_class, data.input_dim, data.separation,
                        rng_seed=seed)
     _atomic_write(args.out, csv_text(ds))

@@ -11,7 +11,7 @@ config built in code is checked like a parsed one. The parser checks only
 the JSON shape (types, presence, unknown keys), builds each type from the
 keys present, and prefixes a nested type's errors with its section.
 
-Schema (the type that owns each part in parentheses):
+Schemas (the type or function that owns each part in parentheses):
 
     seed, clients, alpha, sparsify_site, rounds, local_epochs,
     learning_rate, batch_size, participation, test_fraction, output_dir
@@ -24,16 +24,22 @@ Schema (the type that owns each part in parentheses):
     policy          {"kind": "top_k"|"random", "rate"}
                   | {"kind": "threshold", "tau"}
                   | {"kind": "dense"}                 (sparsify.SparsityPolicy)
+
+    sweep grid      {"alpha": [numbers], "rate": [numbers],
+                     "policy": [kinds], default ["top_k"]}          (parse_grid)
+    gen-data spec   the synthetic dataset keys, "seed" (default 0)
+                                                               (parse_data_spec)
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .model import ACTIVATIONS, ModelSpec, param_count
 from .partition import MIN_ALPHA
-from .sparsify import MAX_CLIENT_ID, MAX_INDEX, MAX_ROUND, SparsityPolicy
+from .sparsify import MAX_CLIENT_ID, MAX_INDEX, MAX_ROUND, POLICY_PARAM, SparsityPolicy
 
 
 class ConfigError(ValueError):
@@ -209,15 +215,11 @@ def _parse_dataset(obj) -> SyntheticDataConfig | CsvDataConfig:
     raise ConfigError(f"dataset.kind: must be 'synthetic' or 'csv', got {kind!r}")
 
 
-def _parse_policy(obj) -> SparsityPolicy:
-    return _build(SparsityPolicy, obj, "policy")
-
-
 def parse_config_dict(obj: dict) -> ExperimentConfig:
     _require(isinstance(obj, dict), "config", "must be a JSON object")
     values = _present_fields(ExperimentConfig, obj, "", nested={
         "dataset": _parse_dataset,
-        "policy": _parse_policy,
+        "policy": lambda policy: _build(SparsityPolicy, policy, "policy"),
         "model": lambda model: _build(ModelConfig, model, "model"),
     })
     # a run needs lr > 0; ExperimentConfig itself also accepts 0
@@ -240,6 +242,39 @@ def _read_json(path, what: str):
 
 def parse_config(path) -> ExperimentConfig:
     return parse_config_dict(_read_json(path, "config"))
+
+
+def parse_grid(path) -> list[tuple[float, str, float]]:
+    """The (alpha, policy kind, rate) cells of a sweep grid file, in
+    alpha x policy x rate order."""
+    obj = _read_json(path, "grid")
+    _require(isinstance(obj, dict), "grid", "must be a JSON object")
+    _check_keys(obj, {"alpha", "policy", "rate"}, "grid")
+    alphas = _typed_list(obj.get("alpha", []), float, "grid.alpha")
+    policies = _typed_list(obj.get("policy", ["top_k"]), str, "grid.policy")
+    rates = _typed_list(obj.get("rate", []), float, "grid.rate")
+    if not alphas or not rates or not policies:
+        raise ConfigError("grid: alpha, policy and rate lists must be nonempty")
+    for kind in policies:
+        _require(kind in POLICY_PARAM, "grid.policy", f"unknown kind {kind!r}")
+    return list(itertools.product(alphas, policies, rates))
+
+
+def cell_policy(kind: str, rate: float) -> SparsityPolicy:
+    """A sweep cell's policy, checked as a config's would be: the grid rate
+    is the kind's parameter."""
+    param = POLICY_PARAM.get(kind)
+    obj = {"kind": kind, param: rate} if param else {"kind": kind}
+    return _build(SparsityPolicy, obj, "policy")
+
+
+def parse_data_spec(path) -> tuple[SyntheticDataConfig, int]:
+    """The dataset and seed of a gen-data spec file."""
+    obj = _read_json(path, "spec")
+    data = _build(SyntheticDataConfig, obj, "spec", extra={"seed"})
+    seed = _typed(obj.get("seed", 0), int, "spec.seed")
+    _require(seed >= 0, "spec.seed", "must be >= 0")
+    return data, seed
 
 
 def emit_config(cfg: ExperimentConfig) -> dict:

@@ -115,27 +115,16 @@ def csv_text(ds: Dataset) -> str:
                    for row, label in zip(ds.inputs, ds.labels))
 
 
-@dataclass
-class NormStats:
-    """Per-feature train statistics, reusable on held-out data."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, ds: Dataset) -> Dataset:
-        scale = np.where(self.std == 0.0, 1.0, self.std)
-        shifted = (ds.inputs - self.mean) / scale
-        return Dataset(shifted, ds.labels, ds.class_count)
-
-
-def normalize(ds: Dataset) -> tuple[Dataset, NormStats]:
-    """Zero-mean unit-variance features; constant features go to zero."""
-    if len(ds) < 2:
+def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """Both sets scaled to the zero-mean unit-variance features of train;
+    a feature constant in train goes to zero."""
+    if len(train) < 2:
         raise ValueError("normalize needs at least two samples")
-    mean = ds.inputs.mean(axis=0)
-    std = ds.inputs.std(axis=0)
-    stats = NormStats(mean, std)
-    return stats.apply(ds), stats
+    mean = train.inputs.mean(axis=0)
+    std = train.inputs.std(axis=0)
+    scale = np.where(std == 0.0, 1.0, std)
+    return tuple(Dataset((ds.inputs - mean) / scale, ds.labels, ds.class_count)
+                 for ds in (train, test))
 
 
 def train_test_split(ds: Dataset, test_fraction: float,

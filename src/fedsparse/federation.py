@@ -308,8 +308,7 @@ def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
                       skip_header=data.skip_header)
     train, test = train_test_split(ds, config.test_fraction, [config.seed, _SPLIT_TAG])
     if isinstance(data, CsvDataConfig) and data.normalize:
-        train, stats = normalize(train)
-        test = stats.apply(test)
+        train, test = normalize(train, test)
     return train, test
 
 

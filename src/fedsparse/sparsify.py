@@ -73,13 +73,9 @@ class SparseUpdate:
             )
         i = self.indices
         if i.size:
-            # When the indices increase, the ends bound the range; otherwise
-            # the range error still comes first, so it needs min/max.
-            increasing = bool((i[1:] > i[:-1]).all())
-            lo, hi = (i[0], i[-1]) if increasing else (i.min(), i.max())
-            if lo < 0 or hi >= self.dim:
+            if i.min() < 0 or i.max() >= self.dim:
                 raise ValueError("indices must lie in [0, dim)")
-            if not increasing:
+            if not (i[1:] > i[:-1]).all():
                 raise ValueError("indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -97,7 +93,9 @@ class SparseUpdate:
         )
 
 
-POLICY_KINDS = ("top_k", "threshold", "random", "dense")
+# The parameter each policy kind takes; dense takes none.
+POLICY_PARAM = {"top_k": "rate", "threshold": "tau", "random": "rate", "dense": None}
+POLICY_KINDS = tuple(POLICY_PARAM)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class SparsityPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError("kind: must be one of " + ", ".join(map(repr, POLICY_KINDS)))
-        takes = {"top_k": "rate", "random": "rate", "threshold": "tau"}.get(self.kind)
+        takes = POLICY_PARAM[self.kind]
         for name in ("rate", "tau"):
             given = getattr(self, name) is not None
             if name == takes and not given:

@@ -244,7 +244,9 @@ class TestSweep:
         assert rows[0] == "alpha,policy,rate,final_accuracy,total_bytes,status"
         assert len(rows) == 9  # header + 2 alphas x 4 rates
         assert all(r.endswith(",ok") for r in rows[1:])
-        assert os.path.exists(os.path.join(doc["output_dir"], "sweep.txt"))
+        table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
+        assert table[:2] == ["policy: top_k", "rate      alpha=0.3         alpha=0.6"]
+        assert all(line == line.rstrip() for line in table)
         # per-cell artifacts
         assert os.path.exists(os.path.join(doc["output_dir"], "cells",
                                            "cell_000", "metrics.csv"))
@@ -287,6 +289,51 @@ class TestSweep:
         assert "failed: policy.rate: must be in (0, 1]" in err
         assert "alpha=1e-07 policy=top_k rate=0.3 failed: alpha: must be >= 1e-05" in err
 
+    def test_dense_cells_share_rate_one(self, smoke_config, tmp_path, capsys):
+        """A dense cell's rate column is 1.0 whatever the grid rate; the
+        pivot has one dense row, from the first dense cell, and a failed
+        cell's message names the grid rate."""
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5, 1e-7], "rate": [0.2, 0.4],
+                                          "policy": ["dense"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
+            EXIT_PARTIAL
+        rows = [r.split(",") for r in
+                Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[2], r[5]) for r in rows] == [
+            ("0.5", "1.0", "ok"), ("0.5", "1.0", "ok"),
+            ("1e-07", "1.0", "failed"), ("1e-07", "1.0", "failed")]
+        first, second = float(rows[0][3]), float(rows[1][3])
+        assert f"{first:.4f}" != f"{second:.4f}"  # the pivot can tell them apart
+        table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
+        assert [line.split() for line in table] == [
+            ["policy:", "dense"], ["rate", "alpha=1e-07", "alpha=0.5"],
+            ["1", "-", f"{first:.4f}"]]
+        err = capsys.readouterr().err
+        assert "cell alpha=1e-07 policy=dense rate=0.2 failed: alpha: must be >= " in err
+        assert "cell alpha=1e-07 policy=dense rate=0.4 failed: alpha: must be >= " in err
+
+    def test_threshold_cell_takes_grid_rate_as_tau(self, smoke_config, tmp_path):
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.05],
+                                          "policy": ["threshold"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
+        summary = json.loads(Path(doc["output_dir"], "cells", "cell_000",
+                                  "summary.json").read_text())
+        assert summary["config"]["policy"] == {"kind": "threshold", "tau": 0.05}
+
+    def test_failed_cell_reads_dash_in_pivot(self, smoke_config, tmp_path):
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3, 1.5],
+                                          "policy": ["top_k"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
+            EXIT_PARTIAL
+        accuracy = float(Path(doc["output_dir"], "sweep.csv").read_text()
+                         .splitlines()[1].split(",")[3])
+        table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
+        assert [line.split() for line in table[2:]] == [
+            ["0.3", f"{accuracy:.4f}"], ["1.5", "-"]]
+
     def test_all_cells_failing_is_runtime_error(self, tmp_path):
         doc = {
             "seed": 3,
@@ -321,6 +368,16 @@ class TestSweep:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
 
+    def test_unknown_policy_kind_named(self, smoke_config, tmp_path, capsys):
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3],
+                                          "policy": ["top_k", "nope"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
+            EXIT_USAGE
+        assert "config error: grid.policy: unknown kind 'nope'" in \
+            capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
+
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid"])
     def test_unreadable_grid_file(self, smoke_config, tmp_path, capsys, text):
         path, doc = smoke_config
@@ -346,14 +403,18 @@ class TestSweep:
         par = Path(tmp_path, "par", "sweep.csv").read_text()
         assert serial == par
 
-    def test_jobs_capped_at_cell_count(self, smoke_config, tmp_path, monkeypatch):
-        """--jobs 64 on two cells asks for two workers; the recorder starts none."""
+    @staticmethod
+    def record_pool(monkeypatch, failing_call=None):
+        """Swap in an in-process ProcessPoolExecutor; returns the max_workers
+        values it is asked for. The future of submit number failing_call
+        raises instead of running its cell, as a dead worker's would."""
         import concurrent.futures
         requested = []
 
         class RecordingPool:
             def __init__(self, max_workers):
                 requested.append(max_workers)
+                self.calls = 0
 
             def __enter__(self):
                 return self
@@ -363,10 +424,19 @@ class TestSweep:
 
             def submit(self, fn, *args):
                 future = concurrent.futures.Future()
-                future.set_result(fn(*args))
+                if self.calls == failing_call:
+                    future.set_exception(RuntimeError("worker died"))
+                else:
+                    future.set_result(fn(*args))
+                self.calls += 1
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return requested
+
+    def test_jobs_capped_at_cell_count(self, smoke_config, tmp_path, monkeypatch):
+        """--jobs 64 on two cells asks for two workers; the recorder starts none."""
+        requested = self.record_pool(monkeypatch)
         path, _ = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8], "rate": [0.2],
                                           "policy": ["top_k"]})
@@ -375,6 +445,21 @@ class TestSweep:
         assert requested == [2]
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3 and all(r.endswith(",ok") for r in rows[1:])
+
+    def test_failed_future_fails_only_its_cell(self, smoke_config, tmp_path,
+                                               monkeypatch, capsys):
+        requested = self.record_pool(monkeypatch, failing_call=1)
+        path, _ = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8, 1.2], "rate": [0.2],
+                                          "policy": ["top_k"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--jobs", "3"]) == EXIT_PARTIAL
+        assert requested == [3]
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["ok", "failed", "ok"]
+        assert rows[2] == "0.8,top_k,0.2,,,failed"
+        assert "cell alpha=0.8 policy=top_k rate=0.2 failed: worker died" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_jobs_below_one_is_usage_error(self, smoke_config, tmp_path, capsys, jobs):

@@ -6,11 +6,11 @@ from dataclasses import replace
 import pytest
 
 from fedsparse.config import (ConfigError, CsvDataConfig, ExperimentConfig, ModelConfig,
-                              SyntheticDataConfig, emit_config, parse_config,
-                              parse_config_dict)
+                              SyntheticDataConfig, cell_policy, emit_config, parse_config,
+                              parse_config_dict, parse_data_spec, parse_grid)
 from fedsparse.data import gen_synthetic
 from fedsparse.partition import MIN_ALPHA
-from fedsparse.sparsify import SparsityPolicy, retained_count
+from fedsparse.sparsify import POLICY_KINDS, POLICY_PARAM, SparsityPolicy, retained_count
 
 MINIMAL = {
     "seed": 7,
@@ -246,3 +246,35 @@ class TestRoundTrip:
                                      "normalize": True})
         cfg = parse_config_dict(doc)
         assert parse_config_dict(emit_config(cfg)) == cfg
+
+
+class TestInputFiles:
+    """The sweep grid and gen-data spec files are parsed here too."""
+
+    def test_grid_cells_in_alpha_policy_rate_order(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"alpha": [0.3, 1], "rate": [0.1, 0.2],
+                                    "policy": ["top_k", "dense"]}))
+        assert parse_grid(path) == [
+            (0.3, "top_k", 0.1), (0.3, "top_k", 0.2),
+            (0.3, "dense", 0.1), (0.3, "dense", 0.2),
+            (1.0, "top_k", 0.1), (1.0, "top_k", 0.2),
+            (1.0, "dense", 0.1), (1.0, "dense", 0.2)]
+        path.write_text(json.dumps({"alpha": [0.3], "rate": [0.1]}))
+        assert parse_grid(path) == [(0.3, "top_k", 0.1)]
+
+    def test_cell_policy_gives_the_rate_to_the_kind_parameter(self):
+        assert POLICY_KINDS == tuple(POLICY_PARAM)
+        assert cell_policy("top_k", 0.2) == SparsityPolicy("top_k", rate=0.2)
+        assert cell_policy("random", 0.2) == SparsityPolicy("random", rate=0.2)
+        assert cell_policy("threshold", 0.2) == SparsityPolicy("threshold", tau=0.2)
+        assert cell_policy("dense", 0.2) == SparsityPolicy("dense")
+        with pytest.raises(ConfigError, match=r"^policy\.rate: must be in \(0, 1\]$"):
+            cell_policy("top_k", 1.5)
+
+    def test_data_spec_defaults_seed_to_zero(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"classes": 4, "per_class": 5}))
+        assert parse_data_spec(path) == (SyntheticDataConfig(classes=4, per_class=5), 0)
+        path.write_text(json.dumps({"input_dim": 2, "seed": 9}))
+        assert parse_data_spec(path) == (SyntheticDataConfig(input_dim=2), 9)

@@ -116,21 +116,20 @@ class TestCsv:
 class TestNormalize:
     def test_moments_after_normalization(self):
         ds = gen_synthetic(2, 100, 5, 2.0, rng_seed=3)
-        out, _ = normalize(ds)
+        out, _ = normalize(ds, ds)
         assert np.all(np.abs(out.inputs.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(out.inputs.var(axis=0) - 1.0) < 1e-10)
 
     def test_constant_feature_goes_to_zero(self):
         inputs = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
         ds = Dataset(inputs, np.zeros(10, dtype=int), class_count=2)
-        out, _ = normalize(ds)
+        out, _ = normalize(ds, ds)
         assert np.all(out.inputs[:, 0] == 0.0)
 
     def test_stats_apply_to_held_out_data(self):
         train = gen_synthetic(2, 50, 3, 2.0, rng_seed=5)
         test = gen_synthetic(2, 10, 3, 2.0, rng_seed=6)
-        _, stats = normalize(train)
-        out = stats.apply(test)
+        _, out = normalize(train, test)
         expected = (test.inputs - train.inputs.mean(axis=0)) / train.inputs.std(axis=0)
         assert np.allclose(out.inputs, expected, rtol=1e-12)
 
