@@ -15,20 +15,19 @@ import numpy as np
 
 from fedsparse.config import parse_config_dict
 from fedsparse.federation import run_experiment
+from fedsparse.sparsify import POLICY_PARAM
 
 STRATEGIES = ("top_k", "threshold", "random")
 VALUES = (0.1, 0.2, 0.3, 0.4)
 
 
 def build_config(seed, kind, value, rounds):
-    policy = {"kind": kind, "tau": value} if kind == "threshold" else \
-        {"kind": kind, "rate": value}
     return parse_config_dict({
         "seed": seed,
         "dataset": {"kind": "synthetic", "classes": 3, "per_class": 150,
                     "input_dim": 10, "separation": 1.5},
         "model": {"hidden": [16], "activation": "relu"},
-        "policy": policy,
+        "policy": {"kind": kind, POLICY_PARAM[kind]: value},
         "clients": 3, "alpha": 0.3,
         "rounds": rounds, "local_epochs": 5, "learning_rate": 0.01,
         "batch_size": 8, "test_fraction": 0.4,

@@ -103,12 +103,6 @@ class ServerState:
     history: list[RoundMetrics] = field(default_factory=list)
 
 
-def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def client_local_train(client: ClientState, global_params: np.ndarray,
                        cfg: ExperimentConfig, model_spec: ModelSpec,
                        dataset: Dataset, rng: np.random.Generator,
@@ -124,16 +118,20 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     retained coordinates are stepped; the dense local model is uploaded.
     """
     idx = client.partition.sample_indices
-    if idx.shape[0] == 0:
+    n = idx.shape[0]
+    if n == 0:
         raise ValueError(f"client {client.client_id} has an empty partition")
-    inputs = dataset.inputs[idx]
-    labels = dataset.labels[idx]
     w = np.array(global_params, dtype=np.float64, copy=True)
     delta = np.zeros_like(w) if cfg.sparsify_site == "uploaded_delta" else None
 
     for epoch in range(cfg.local_epochs):
-        for batch_no, batch in enumerate(_minibatches(idx.shape[0], cfg.batch_size, rng)):
-            grad = model_ops.backward(model_spec, w, inputs[batch], labels[batch])
+        # the epoch's permutation precedes its per-batch policy seeds in rng
+        order = idx[rng.permutation(n)]
+        inputs = dataset.inputs[order]
+        labels = dataset.labels[order]
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
+            stop = start + cfg.batch_size
+            grad = model_ops.backward(model_spec, w, inputs[start:stop], labels[start:stop])
             if cfg.sparsify_site == "local_gradient":
                 seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
                 keep = sparsify(grad, cfg.policy, seed)
@@ -150,19 +148,20 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
                 )
 
     if cfg.sparsify_site == "local_gradient":
-        keep = np.arange(w.shape[0])
+        keep, values = np.arange(w.shape[0]), w
         uplink_bytes = encoded_size(w.shape[0])
     else:
         seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
         keep = sparsify(delta, cfg.policy, seed)
+        values = w[keep]
         uplink_bytes = len(encode(SparseUpdate(w.shape[0], keep, delta[keep],
                                                round=round_index,
                                                client_id=client.client_id)))
     return ClientUpdate(
         client_id=client.client_id,
-        sample_count=int(idx.shape[0]),
+        sample_count=n,
         indices=keep,
-        values=w[keep],
+        values=values,
         uplink_bytes=uplink_bytes,
     )
 
@@ -275,7 +274,6 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
 class ExperimentResult:
     history: list[RoundMetrics]
     final_params: np.ndarray
-    model_spec: ModelSpec
     partitions: list[Partition]
     wall_time_s: float
 
@@ -333,7 +331,6 @@ def run_experiment(config: ExperimentConfig, on_round=None) -> ExperimentResult:
     return ExperimentResult(
         history=server.history,
         final_params=server.global_params,
-        model_spec=spec,
         partitions=partitions,
         wall_time_s=time.perf_counter() - start,
     )

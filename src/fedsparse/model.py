@@ -104,40 +104,21 @@ def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        # multiplying by the bool mask gives the same bits as by 0.0/1.0
-        return z > 0.0
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def _forward_cached(spec, layers, inputs):
-    """Forward pass over unpacked layers, keeping pre-activations and
-    activations for backprop."""
+def _activations(spec, layers, inputs):
+    """Layer outputs of one forward pass over unpacked layers, inputs first
+    and logits last. Each hidden activation overwrites its own product, so
+    every entry after the inputs is a fresh array the caller owns."""
     acts = [inputs]
-    zs = []
-    a = inputs
     for i, (w, b) in enumerate(layers):
-        z = np.dot(a, w)
+        z = np.dot(acts[-1], w)
         z += b
-        zs.append(z)
-        a = _activate(z, spec.activation) if i < len(layers) - 1 else z
-        acts.append(a)
-    return acts, zs
-
-
-def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Logits matrix, shape (batch, class_count). Purely functional."""
-    inputs = _check_inputs(spec, inputs)
-    acts, _ = _forward_cached(spec, unpack_params(spec, params), inputs)
-    return acts[-1]
+        if i < len(layers) - 1:
+            if spec.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+        acts.append(z)
+    return acts
 
 
 def _sum_left_to_right(values: list[float]) -> float:
@@ -198,7 +179,7 @@ def group_losses(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     layers = unpack_params(spec, params)
     # One forward pass per group: BLAS may round a product over another row
     # count differently in the last bit. The loss itself is row-wise.
-    logits = np.concatenate([_forward_cached(spec, layers, inputs[lo:hi])[0][-1]
+    logits = np.concatenate([_activations(spec, layers, inputs[lo:hi])[-1]
                              for lo, hi in zip(bounds[:-1], bounds[1:])])
     per_sample = _per_sample_losses(logits, labels).tolist()
     return [_sum_left_to_right(per_sample[lo:hi]) / (hi - lo)
@@ -219,12 +200,13 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
         raise ValueError("backward over an empty batch")
     labels = _check_labels(labels, spec.class_count, inputs.shape[0])
     layers = unpack_params(spec, params)
-    acts, zs = _forward_cached(spec, layers, inputs)
+    acts = _activations(spec, layers, inputs)
     n = inputs.shape[0]
 
-    logits = acts[-1]
-    m = logits.max(axis=1, keepdims=True)
-    delta = np.exp(logits - m)
+    # the softmax gradient is formed in the logits buffer, which no one else holds
+    delta = acts[-1]
+    delta -= delta.max(axis=1, keepdims=True)
+    np.exp(delta, out=delta)
     delta /= delta.sum(axis=1, keepdims=True)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
@@ -239,7 +221,11 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
         np.add.reduce(delta, axis=0, out=grad[b_start:end])
         if i > 0:
             delta = np.dot(delta, layers[i][0].T)
-            delta *= _activate_grad(zs[i - 1], spec.activation)
+            # each derivative is read off the activation h: relu's h > 0.0 is
+            # the mask z > 0.0 (a bool factor gives the bits of 0.0/1.0), and
+            # tanh's is 1 - h*h
+            h = acts[i]
+            delta *= h > 0.0 if spec.activation == "relu" else 1.0 - h * h
     return grad
 
 
@@ -250,6 +236,5 @@ def evaluate(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     if inputs.shape[0] == 0:
         raise ValueError("evaluate over an empty dataset")
     labels = _check_labels(labels, spec.class_count, inputs.shape[0])
-    acts, _ = _forward_cached(spec, unpack_params(spec, params), inputs)
-    pred = np.argmax(acts[-1], axis=1)
+    pred = np.argmax(_activations(spec, unpack_params(spec, params), inputs)[-1], axis=1)
     return float(np.mean(pred == labels))

@@ -1,9 +1,12 @@
 """Test oracles: independent references the tests check the package against.
 
-finite_diff_grad checks model.backward; log_gamma, DirichletParams,
-sample_dirichlet and dirichlet_log_pdf check the Dirichlet sampler that
-partition.partition_dataset draws client proportions from. Log-Gamma uses
-the 9-coefficient Lanczos approximation with reflection for x < 0.5.
+forward is not independent: it returns the logits of the activation pass
+that model.loss, model.evaluate and model.backward share, so the tests can
+check that pass directly. finite_diff_grad checks model.backward;
+log_gamma, DirichletParams, sample_dirichlet and dirichlet_log_pdf check
+the Dirichlet sampler that partition.partition_dataset draws client
+proportions from. Log-Gamma uses the 9-coefficient Lanczos approximation
+with reflection for x < 0.5.
 """
 
 from __future__ import annotations
@@ -13,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedsparse.model import ModelSpec, loss
+from fedsparse.model import ModelSpec, _activations, _check_inputs, loss, unpack_params
 from fedsparse.partition import _sample_proportions
+
+
+def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Logits matrix, shape (batch, class_count), behind the package's own
+    input and parameter-length checks."""
+    inputs = _check_inputs(spec, inputs)
+    return _activations(spec, unpack_params(spec, params), inputs)[-1]
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

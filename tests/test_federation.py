@@ -477,7 +477,8 @@ class TestRunExperiment:
 
         from fedsparse.federation import build_dataset
         train, _ = build_dataset(config)
-        spec = result.model_spec
+        spec = ModelSpec((train.input_dim, *config.model.hidden, train.class_count),
+                         config.model.activation, config.seed)
         w = init_params(spec)
         for t in range(3):
             rng = np.random.default_rng([config.seed, 2, 0, t])

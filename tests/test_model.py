@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsparse.model import (ModelSpec, _per_sample_losses, _row_max, backward,
-                             evaluate, forward, group_losses, init_params, loss,
+                             evaluate, group_losses, init_params, loss,
                              param_count, unpack_params)
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, forward
 
 
 def rel_err(a, b, guard=1e-3):
@@ -284,16 +284,40 @@ class TestBackward:
         assert np.array_equal(backward(spec, params, X, y),
                               reference_backward(spec, params, X, y))
 
-    @pytest.mark.parametrize("n", [32, 25, 7, 1])
-    def test_bit_identical_to_reference_backward_at_wide_shape(self, n):
+    # a relu case is named by its row count alone, a tanh case "<n>-tanh"
+    @pytest.mark.parametrize("n,activation", [
+        pytest.param(n, activation, id=str(n) if activation == "relu" else f"{n}-tanh")
+        for activation in ("relu", "tanh") for n in (32, 25, 7, 1)])
+    def test_bit_identical_to_reference_backward_at_wide_shape(self, n, activation):
         """Widths the hypothesis test above never reaches, where OpenBLAS
         leaves its small-matrix path."""
-        spec = ModelSpec((256, 256, 64, 10), seed=n)
+        spec = ModelSpec((256, 256, 64, 10), activation=activation, seed=n)
         params = init_params(spec)
         X, y = random_batch(spec, n, seed=n)
         X[::3] = 0.0  # zero rows: pre-activations of exactly 0.0
         assert np.array_equal(backward(spec, params, X, y),
                               reference_backward(spec, params, X, y))
+
+
+class TestCallerDataUntouched:
+    """The activation pass and backward write into their own buffers only."""
+
+    @pytest.mark.parametrize("n", [6, 1])
+    @pytest.mark.parametrize("sizes,activation", [
+        ((3, 5, 4, 2), "relu"), ((3, 5, 4, 2), "tanh"),
+        ((3, 2), "relu"),  # no hidden layer: the logits are the first product
+    ])
+    def test_params_inputs_and_labels_keep_their_bits(self, sizes, activation, n):
+        spec = ModelSpec(sizes, activation=activation, seed=4)
+        params = init_params(spec) + 0.1
+        X, y = random_batch(spec, n, seed=n)
+        before = [params.copy(), X.copy(), y.copy()]
+        backward(spec, params, X, y)
+        loss(spec, params, X, y)
+        group_losses(spec, params, X, y, [1, n - 1] if n > 1 else [1])
+        evaluate(spec, params, X, y)
+        for old, new in zip(before, [params, X, y]):
+            assert old.tobytes() == new.tobytes()
 
 
 class TestGroupLosses:
