@@ -134,7 +134,6 @@ def _run_cell(base: ExperimentConfig, out_root: str, index: int,
     """Build and run one sweep cell; raises on any invalid cell parameter."""
     cfg = replace(
         base,
-        seed=base.seed + index,  # derived per-cell seed
         alpha=alpha,
         policy=cell_policy(kind, rate),
         output_dir=os.path.join(out_root, "cells", f"cell_{index:03d}"),
@@ -169,7 +168,7 @@ def _cmd_sweep(args) -> int:
     out_root = args.out if args.out else base.output_dir
 
     lines = [SWEEP_HEADER]
-    pivot = {}  # (policy, rate column, alpha) -> accuracy; the first cell wins
+    pivot = {}  # (policy, rate, alpha) -> accuracy, None for a failed cell
     failures = 0
     # every worker forks at the first submit, so never start more than cells
     workers = min(args.jobs, len(cells))
@@ -184,17 +183,16 @@ def _cmd_sweep(args) -> int:
             outcomes = [functools.partial(_run_cell, base, out_root, i, *cell)
                         for i, cell in enumerate(cells)]
         for (alpha, kind, rate), outcome in zip(cells, outcomes):
-            column_rate = 1.0 if kind == "dense" else rate
             try:
                 accuracy, total_bytes = outcome()
-                lines.append(f"{alpha!r},{kind},{column_rate!r},{accuracy!r},{total_bytes},ok")
+                lines.append(f"{alpha!r},{kind},{rate!r},{accuracy!r},{total_bytes},ok")
             except Exception as exc:
                 failures += 1
                 accuracy = None
-                lines.append(f"{alpha!r},{kind},{column_rate!r},,,failed")
+                lines.append(f"{alpha!r},{kind},{rate!r},,,failed")
                 print(f"cell alpha={alpha} policy={kind} rate={rate} "
                       f"failed: {exc}", file=sys.stderr)
-            pivot.setdefault((kind, column_rate, alpha), accuracy)
+            pivot[kind, rate, alpha] = accuracy
 
     _atomic_write(os.path.join(out_root, "sweep.csv"), "\n".join(lines) + "\n")
     table = _pivot_table(pivot)

@@ -245,8 +245,8 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def parse_grid(path) -> list[tuple[float, str, float]]:
-    """The (alpha, policy kind, rate) cells of a sweep grid file, in
-    alpha x policy x rate order."""
+    """The distinct (alpha, policy kind, rate) cells of a sweep grid file in
+    alpha x policy x rate order, first appearance kept; dense has rate 1.0."""
     obj = _read_json(path, "grid")
     _require(isinstance(obj, dict), "grid", "must be a JSON object")
     _check_keys(obj, {"alpha", "policy", "rate"}, "grid")
@@ -257,7 +257,9 @@ def parse_grid(path) -> list[tuple[float, str, float]]:
         raise ConfigError("grid: alpha, policy and rate lists must be nonempty")
     for kind in policies:
         _require(kind in POLICY_PARAM, "grid.policy", f"unknown kind {kind!r}")
-    return list(itertools.product(alphas, policies, rates))
+    return list(dict.fromkeys(
+        (alpha, kind, rate if POLICY_PARAM[kind] else 1.0)
+        for alpha, kind, rate in itertools.product(alphas, policies, rates)))
 
 
 def cell_policy(kind: str, rate: float) -> SparsityPolicy:

@@ -79,7 +79,8 @@ def load_csv(path, input_dim: int, class_count: int, skip_header: bool = False) 
     """Parse a feature/label CSV; errors carry the 1-based line number."""
     inputs = []
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # non-UTF-8 bytes pass as surrogates here; the strict re-decode below names their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if skip_header and lineno == 1:
                 continue
@@ -92,6 +93,7 @@ def load_csv(path, input_dim: int, class_count: int, skip_header: bool = False) 
                     f"{path}:{lineno}: expected {input_dim + 1} columns, got {len(cells)}"
                 )
             try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
                 row = [float(c) for c in cells[:-1]]
                 label = int(cells[-1])
             except ValueError as exc:

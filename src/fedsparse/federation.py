@@ -99,7 +99,6 @@ class RoundMetrics:
 @dataclass
 class ServerState:
     global_params: np.ndarray
-    round: int = 0
     history: list[RoundMetrics] = field(default_factory=list)
 
 
@@ -232,7 +231,7 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
     the client training partitions, top-1 accuracy on the test set.
     """
     t0 = time.perf_counter()
-    t = server.round
+    t = len(server.history)
     n = len(clients)
     k = retained_count(cfg.participation, n)
     select_rng = np.random.default_rng([cfg.seed, _SELECT_TAG, t])
@@ -265,7 +264,6 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
         elapsed_s=time.perf_counter() - t0,
     )
     server.global_params = aggregated
-    server.round = t + 1
     server.history.append(metrics)
     return metrics
 

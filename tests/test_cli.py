@@ -147,6 +147,19 @@ class TestRun:
         assert np.array_equal(test.labels, raw_test.labels)
         assert not np.allclose(test.inputs.mean(axis=0), 0.0)  # not its own statistics
 
+    def test_non_utf8_csv_byte_is_runtime_error_naming_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"1.0,2.0,0\n1.0,2.0\xff,1\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "seed": 3, "policy": {"kind": "dense"}, "output_dir": str(tmp_path / "out"),
+            "dataset": {"kind": "csv", "path": str(data), "input_dim": 2, "classes": 2}}))
+        assert main(["run", str(path), "--quiet"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"fedsparse: error: {data}:2: 'utf-8' codec can't decode byte 0xff "
+            f"in position 7: invalid start byte\n")
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1}))
@@ -263,13 +276,13 @@ class TestSweep:
         assert len(set(totals)) == len(totals)  # strictly increasing
 
     def test_single_cell_matches_direct_run(self, smoke_config, tmp_path):
-        """A 1x1 grid reproduces a plain run with the derived seed."""
+        """A 1x1 grid reproduces a plain run of the base config."""
         path, doc = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3],
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
         cell_metrics = Path(doc["output_dir"], "cells", "cell_000", "metrics.csv").read_text()
-        # derived seed for cell 0 is base + 0, alpha/policy equal the base config
+        # the cell runs on the base seed, and its alpha/policy equal the base config
         assert main(["run", str(path), "--out", str(tmp_path / "direct")]) == EXIT_OK
         direct_metrics = Path(tmp_path, "direct", "metrics.csv").read_text()
         assert cell_metrics == direct_metrics
@@ -290,9 +303,8 @@ class TestSweep:
         assert "alpha=1e-07 policy=top_k rate=0.3 failed: alpha: must be >= 1e-05" in err
 
     def test_dense_cells_share_rate_one(self, smoke_config, tmp_path, capsys):
-        """A dense cell's rate column is 1.0 whatever the grid rate; the
-        pivot has one dense row, from the first dense cell, and a failed
-        cell's message names the grid rate."""
+        """A dense cell ignores the grid rate, so it runs once per alpha with
+        rate 1.0 in the CSV, the pivot and a failed cell's message."""
         path, doc = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5, 1e-7], "rate": [0.2, 0.4],
                                           "policy": ["dense"]})
@@ -300,18 +312,71 @@ class TestSweep:
             EXIT_PARTIAL
         rows = [r.split(",") for r in
                 Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]]
-        assert [(r[0], r[2], r[5]) for r in rows] == [
-            ("0.5", "1.0", "ok"), ("0.5", "1.0", "ok"),
-            ("1e-07", "1.0", "failed"), ("1e-07", "1.0", "failed")]
-        first, second = float(rows[0][3]), float(rows[1][3])
-        assert f"{first:.4f}" != f"{second:.4f}"  # the pivot can tell them apart
+        assert [(r[0], r[1], r[2], r[5]) for r in rows] == [
+            ("0.5", "dense", "1.0", "ok"), ("1e-07", "dense", "1.0", "failed")]
+        assert sorted(os.listdir(Path(doc["output_dir"], "cells"))) == ["cell_000"]
         table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
         assert [line.split() for line in table] == [
             ["policy:", "dense"], ["rate", "alpha=1e-07", "alpha=0.5"],
-            ["1", "-", f"{first:.4f}"]]
-        err = capsys.readouterr().err
-        assert "cell alpha=1e-07 policy=dense rate=0.2 failed: alpha: must be >= " in err
-        assert "cell alpha=1e-07 policy=dense rate=0.4 failed: alpha: must be >= " in err
+            ["1", "-", f"{float(rows[0][3]):.4f}"]]
+        assert capsys.readouterr().err.splitlines() == [
+            "cell alpha=1e-07 policy=dense rate=1.0 failed: alpha: must be >= 1e-05 "
+            "(smaller can underflow every Dirichlet draw)"]
+
+    GRID_G = {"alpha": [0.3, 0.6], "rate": [0.1, 0.2, 0.3, 0.4],
+              "policy": ["top_k", "dense"]}
+
+    def test_grid_runs_each_distinct_cell_once(self, smoke_config, tmp_path):
+        """2 alphas x (4 top-k rates + dense): 10 cells, not 16."""
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, self.GRID_G)
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
+        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]
+        assert [tuple(r.split(",")[:3]) for r in rows] == [
+            (alpha, kind, rate) for alpha in ("0.3", "0.6")
+            for kind, rate in [("top_k", "0.1"), ("top_k", "0.2"), ("top_k", "0.3"),
+                               ("top_k", "0.4"), ("dense", "1.0")]]
+        assert all(r.endswith(",ok") for r in rows)
+        assert sorted(os.listdir(Path(doc["output_dir"], "cells"))) == \
+            [f"cell_{i:03d}" for i in range(10)]
+
+    def test_every_cell_is_a_direct_run_on_the_base_seed(self, smoke_config, tmp_path):
+        """Each cell's summary.json echoes the base seed, and `fedsparse run`
+        on that echoed config writes the cell's metrics.csv byte for byte."""
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, self.GRID_G)
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
+        cells = sorted(Path(doc["output_dir"], "cells").iterdir())
+        assert len(cells) == 10
+        for cell in cells:
+            echoed = json.loads((cell / "summary.json").read_text())["config"]
+            assert echoed["seed"] == doc["seed"]
+            config = tmp_path / f"{cell.name}.json"
+            config.write_text(json.dumps(echoed))
+            direct = tmp_path / "direct" / cell.name
+            assert main(["run", str(config), "--out", str(direct), "--quiet"]) == EXIT_OK
+            assert (direct / "metrics.csv").read_bytes() == \
+                (cell / "metrics.csv").read_bytes()
+
+    def test_seed_env_override_reaches_every_cell(self, smoke_config, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("FEDSPARSE_SEED", "99")
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.2, 0.4],
+                                          "policy": ["top_k", "dense"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
+        cells = sorted(Path(doc["output_dir"], "cells").iterdir())
+        assert [json.loads((c / "summary.json").read_text())["config"]["seed"]
+                for c in cells] == [99, 99, 99]
+
+    def test_repeated_rate_runs_one_cell(self, smoke_config, tmp_path):
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.2, 0.2],
+                                          "policy": ["top_k"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
+        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [["0.5", "top_k", "0.2"]]
+        assert os.listdir(Path(doc["output_dir"], "cells")) == ["cell_000"]
 
     def test_threshold_cell_takes_grid_rate_as_tau(self, smoke_config, tmp_path):
         path, doc = smoke_config
@@ -402,6 +467,25 @@ class TestSweep:
         serial = Path(tmp_path, "serial", "sweep.csv").read_text()
         par = Path(tmp_path, "par", "sweep.csv").read_text()
         assert serial == par
+
+    def test_jobs_1_and_3_write_identical_files(self, smoke_config, tmp_path):
+        """The process pool changes no output on a grid with dense cells;
+        only summary.json differs, by its wall time."""
+        path, _ = smoke_config
+        grid = self.write_grid(tmp_path, self.GRID_G)
+        for jobs in ("1", "3"):
+            assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                         "--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
+        files = sorted(p.relative_to(tmp_path / "1")
+                       for p in (tmp_path / "1").rglob("*")
+                       if p.is_file() and p.name != "summary.json")
+        assert len(files) == 2 + 10 * 2
+        assert files == sorted(p.relative_to(tmp_path / "3")
+                               for p in (tmp_path / "3").rglob("*")
+                               if p.is_file() and p.name != "summary.json")
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "3" / name).read_bytes(), name
 
     @staticmethod
     def record_pool(monkeypatch, failing_call=None):

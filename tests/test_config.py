@@ -256,12 +256,18 @@ class TestInputFiles:
         path.write_text(json.dumps({"alpha": [0.3, 1], "rate": [0.1, 0.2],
                                     "policy": ["top_k", "dense"]}))
         assert parse_grid(path) == [
-            (0.3, "top_k", 0.1), (0.3, "top_k", 0.2),
-            (0.3, "dense", 0.1), (0.3, "dense", 0.2),
-            (1.0, "top_k", 0.1), (1.0, "top_k", 0.2),
-            (1.0, "dense", 0.1), (1.0, "dense", 0.2)]
+            (0.3, "top_k", 0.1), (0.3, "top_k", 0.2), (0.3, "dense", 1.0),
+            (1.0, "top_k", 0.1), (1.0, "top_k", 0.2), (1.0, "dense", 1.0)]
         path.write_text(json.dumps({"alpha": [0.3], "rate": [0.1]}))
         assert parse_grid(path) == [(0.3, "top_k", 0.1)]
+
+    def test_grid_keeps_the_first_appearance_of_each_cell(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"alpha": [0.6, 0.3, 0.6], "rate": [0.2, 0.1, 0.2],
+                                    "policy": ["dense", "threshold", "dense"]}))
+        assert parse_grid(path) == [
+            (0.6, "dense", 1.0), (0.6, "threshold", 0.2), (0.6, "threshold", 0.1),
+            (0.3, "dense", 1.0), (0.3, "threshold", 0.2), (0.3, "threshold", 0.1)]
 
     def test_cell_policy_gives_the_rate_to_the_kind_parameter(self):
         assert POLICY_KINDS == tuple(POLICY_PARAM)

@@ -86,6 +86,26 @@ class TestCsv:
         with pytest.raises(ValueError, match="expected 3 columns"):
             load_csv(path, 2, 2)
 
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1.0,2.0,0\n1.0,2.0\xff,1\n1.0,2.0,0\n")
+        with pytest.raises(ValueError, match=r"^.*latin\.csv:2: 'utf-8' codec can't "
+                                             r"decode byte 0xff in position 7"):
+            load_csv(path, 2, 2)
+
+    def test_non_utf8_header_is_skipped_like_any_header(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_bytes(b"f\xe90,f1,label\n1.0,2.0,0\n")
+        assert len(load_csv(path, 2, 2, skip_header=True)) == 1
+        with pytest.raises(ValueError, match=r"head\.csv:1: "):
+            load_csv(path, 2, 2)
+
+    def test_universal_newlines(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"1.0,2.0,0\r-0.5,3.25,1\r\n0.0,0.0,1\n")
+        ds = load_csv(path, 2, 2)
+        assert ds.labels.tolist() == [0, 1, 1]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_feature_names_line(self, tmp_path, cell):
         path = tmp_path / "nonfinite.csv"
