@@ -26,7 +26,7 @@ from . import __version__
 from .config import (ConfigError, ExperimentConfig, cell_policy, emit_config, parse_config,
                      parse_data_spec, parse_grid)
 from .data import csv_text, gen_synthetic
-from .federation import ExperimentResult, RoundMetrics, run_experiment
+from .federation import RoundMetrics, ServerState, run_experiment
 from .sparsify import DecodeError, decode
 
 EXIT_OK = 0
@@ -35,7 +35,7 @@ EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
 
 METRICS_HEADER = ",".join(RoundMetrics.CSV_FIELDS)
-SWEEP_HEADER = "alpha,policy,rate,final_accuracy,total_bytes,status"
+SWEEP_HEADER = "alpha,policy,rate,final_accuracy,uplink_bytes,status"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,13 +71,13 @@ def _apply_seed_env(cfg: ExperimentConfig) -> ExperimentConfig:
                           f"got {override!r}") from None
 
 
-def _metrics_csv(result: ExperimentResult) -> str:
+def _metrics_csv(result: ServerState) -> str:
     lines = [METRICS_HEADER]
     lines.extend(m.csv_row() for m in result.history)
     return "\n".join(lines) + "\n"
 
 
-def _summary_json(cfg: ExperimentConfig, result: ExperimentResult) -> str:
+def _summary_json(cfg: ExperimentConfig, result: ServerState) -> str:
     summary = {
         "version": __version__,
         "final_accuracy": result.final_accuracy,
@@ -91,7 +91,7 @@ def _summary_json(cfg: ExperimentConfig, result: ExperimentResult) -> str:
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
-def _partitions_csv(result: ExperimentResult) -> str:
+def _partitions_csv(result: ServerState) -> str:
     rows = sorted(
         (int(i), p.client_id) for p in result.partitions for i in p.sample_indices
     )
@@ -101,7 +101,7 @@ def _partitions_csv(result: ExperimentResult) -> str:
 
 
 def _write_run_outputs(out_dir: str, cfg: ExperimentConfig,
-                       result: ExperimentResult) -> None:
+                       result: ServerState) -> None:
     _atomic_write(os.path.join(out_dir, "metrics.csv"), _metrics_csv(result))
     _atomic_write(os.path.join(out_dir, "summary.json"), _summary_json(cfg, result))
     _atomic_write(os.path.join(out_dir, "partitions.csv"), _partitions_csv(result))
@@ -140,8 +140,8 @@ def _run_cell(base: ExperimentConfig, out_root: str, index: int,
     )
     result = run_experiment(cfg)
     _write_run_outputs(cfg.output_dir, cfg, result)
-    return (result.final_accuracy,
-            result.total_uplink_bytes + result.total_downlink_bytes)
+    # the downlink is the same for every policy, so only the uplink is reported
+    return result.final_accuracy, result.total_uplink_bytes
 
 
 def _pivot_table(pivot: dict) -> str:
@@ -184,8 +184,8 @@ def _cmd_sweep(args) -> int:
                         for i, cell in enumerate(cells)]
         for (alpha, kind, rate), outcome in zip(cells, outcomes):
             try:
-                accuracy, total_bytes = outcome()
-                lines.append(f"{alpha!r},{kind},{rate!r},{accuracy!r},{total_bytes},ok")
+                accuracy, uplink_bytes = outcome()
+                lines.append(f"{alpha!r},{kind},{rate!r},{accuracy!r},{uplink_bytes},ok")
             except Exception as exc:
                 failures += 1
                 accuracy = None

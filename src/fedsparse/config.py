@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .model import ACTIVATIONS, ModelSpec, param_count
@@ -68,6 +69,7 @@ class SyntheticDataConfig:
     def __post_init__(self):
         _check_task(self.classes, self.input_dim)
         _require(self.per_class >= 1, "per_class", "must be >= 1")
+        _require(math.isfinite(self.separation), "separation", "must be finite")
         _require(self.separation >= 0, "separation", "must be >= 0")
 
 
@@ -123,6 +125,7 @@ class ExperimentConfig:
         _require(self.clients >= 1, "clients", "must be >= 1")
         _require(self.clients <= MAX_CLIENT_ID, "clients",
                  f"must be <= {MAX_CLIENT_ID} (the FSU1 client id is a u16)")
+        _require(math.isfinite(self.alpha), "alpha", "must be finite")
         _require(self.alpha > 0, "alpha", "must be > 0")
         _require(self.alpha >= MIN_ALPHA, "alpha",
                  f"must be >= {MIN_ALPHA:g} (smaller can underflow every Dirichlet draw)")
@@ -132,6 +135,7 @@ class ExperimentConfig:
         _require(self.rounds <= MAX_ROUND, "rounds",
                  f"must be <= {MAX_ROUND} (the FSU1 round is a u32)")
         _require(self.local_epochs >= 1, "local_epochs", "must be >= 1")
+        _require(math.isfinite(self.learning_rate), "learning_rate", "must be finite")
         _require(self.learning_rate >= 0, "learning_rate", "must be >= 0")
         _require(self.batch_size >= 1, "batch_size", "must be >= 1")
         _require(0.0 < self.participation <= 1.0, "participation", "must be in (0, 1]")

@@ -20,8 +20,10 @@ Two sparsification sites are supported:
 Determinism: every stochastic choice draws from a generator seeded by
 (config seed, stream tag, ...) so results do not depend on client
 scheduling; aggregation always combines updates in ascending client_id
-order. RNG stream tags: 1 client selection, 2 client training, 10 data
-generation, 11 train/test split, 12 partitioning.
+order. RNG stream tags: 1 client selection, 2 client batch order, 3
+sparsify policy (plus epoch and batch on local_gradient), 10 data
+generation, 11 train/test split, 12 partitioning. A policy never moves
+a batch, so every policy trains on the same batches.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .sparsify import SparseUpdate, densify, encode, encoded_size, retained_coun
 
 _SELECT_TAG = 1
 _CLIENT_TAG = 2
+_POLICY_TAG = 3
 _DATA_TAG = 10
 _SPLIT_TAG = 11
 _PARTITION_TAG = 12
@@ -92,20 +95,38 @@ class RoundMetrics:
 
     def csv_row(self) -> str:
         """Deterministic row for metrics.csv (wall time deliberately excluded)."""
-        return (f"{self.round},{self.global_loss!r},{self.top1_accuracy!r},"
-                f"{self.uplink_bytes},{self.downlink_bytes}")
+        return ",".join(repr(getattr(self, name)) for name in self.CSV_FIELDS)
 
 
 @dataclass
 class ServerState:
+    """The global model and its round history; run_experiment sets the rest."""
+
     global_params: np.ndarray
     history: list[RoundMetrics] = field(default_factory=list)
+    partitions: list[Partition] = field(default_factory=list)
+    wall_time_s: float = 0.0
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.history[-1].top1_accuracy
+
+    @property
+    def final_global_loss(self) -> float:
+        return self.history[-1].global_loss
+
+    @property
+    def total_uplink_bytes(self) -> int:
+        return sum(m.uplink_bytes for m in self.history)
+
+    @property
+    def total_downlink_bytes(self) -> int:
+        return sum(m.downlink_bytes for m in self.history)
 
 
 def client_local_train(client: ClientState, global_params: np.ndarray,
                        cfg: ExperimentConfig, model_spec: ModelSpec,
-                       dataset: Dataset, rng: np.random.Generator,
-                       round_index: int = 0) -> ClientUpdate:
+                       dataset: Dataset, round_index: int = 0) -> ClientUpdate:
     """Run local SGD from the broadcast parameters and build the upload.
 
     uploaded_delta: plain SGD on the local copy; alongside it the round
@@ -120,11 +141,12 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     n = idx.shape[0]
     if n == 0:
         raise ValueError(f"client {client.client_id} has an empty partition")
+    rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client.client_id, round_index])
+    policy_key = [cfg.seed, _POLICY_TAG, client.client_id, round_index]
     w = np.array(global_params, dtype=np.float64, copy=True)
     delta = np.zeros_like(w) if cfg.sparsify_site == "uploaded_delta" else None
 
     for epoch in range(cfg.local_epochs):
-        # the epoch's permutation precedes its per-batch policy seeds in rng
         order = idx[rng.permutation(n)]
         inputs = dataset.inputs[order]
         labels = dataset.labels[order]
@@ -132,8 +154,7 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
             stop = start + cfg.batch_size
             grad = model_ops.backward(model_spec, w, inputs[start:stop], labels[start:stop])
             if cfg.sparsify_site == "local_gradient":
-                seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
-                keep = sparsify(grad, cfg.policy, seed)
+                keep = sparsify(grad, cfg.policy, [*policy_key, epoch, batch_no])
                 # unretained coordinates would get w - 0.0, the same bits as w
                 w[keep] -= cfg.learning_rate * grad[keep]
             else:
@@ -150,8 +171,7 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
         keep, values = np.arange(w.shape[0]), w
         uplink_bytes = encoded_size(w.shape[0])
     else:
-        seed = int(rng.integers(2 ** 63)) if cfg.policy.kind == "random" else None
-        keep = sparsify(delta, cfg.policy, seed)
+        keep = sparsify(delta, cfg.policy, policy_key)
         values = w[keep]
         uplink_bytes = len(encode(SparseUpdate(w.shape[0], keep, delta[keep],
                                                round=round_index,
@@ -239,12 +259,9 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
 
     dim = server.global_params.shape[0]
     downlink = k * encoded_size(dim)
-    updates = []
-    for cid in selected:
-        rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, cid, t])
-        updates.append(client_local_train(
-            clients[cid], server.global_params, cfg, model_spec, train_ds, rng,
-            round_index=t))
+    updates = [client_local_train(clients[cid], server.global_params, cfg, model_spec,
+                                  train_ds, round_index=t)
+               for cid in selected]
     uplink = sum(u.uplink_bytes for u in updates)
 
     aggregated = aggregate(updates, server.global_params)
@@ -268,30 +285,6 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
     return metrics
 
 
-@dataclass
-class ExperimentResult:
-    history: list[RoundMetrics]
-    final_params: np.ndarray
-    partitions: list[Partition]
-    wall_time_s: float
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.history[-1].top1_accuracy
-
-    @property
-    def final_global_loss(self) -> float:
-        return self.history[-1].global_loss
-
-    @property
-    def total_uplink_bytes(self) -> int:
-        return sum(m.uplink_bytes for m in self.history)
-
-    @property
-    def total_downlink_bytes(self) -> int:
-        return sum(m.downlink_bytes for m in self.history)
-
-
 def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Materialize the configured dataset and its train/test split; a CSV
     dataset with `normalize` set is scaled by the train statistics."""
@@ -308,7 +301,7 @@ def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def run_experiment(config: ExperimentConfig, on_round=None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, on_round=None) -> ServerState:
     """End-to-end run: data, split, partition, T rounds. Deterministic
     given config.seed (clients train serially)."""
     start = time.perf_counter()
@@ -320,15 +313,11 @@ def run_experiment(config: ExperimentConfig, on_round=None) -> ExperimentResult:
         activation=config.model.activation,
         seed=config.seed,
     )
-    server = ServerState(global_params=model_ops.init_params(spec))
+    server = ServerState(global_params=model_ops.init_params(spec), partitions=partitions)
     clients = [ClientState(p.client_id, p) for p in partitions]
     for _ in range(config.rounds):
         metrics = run_round(server, clients, config, spec, train_ds, test_ds)
         if on_round is not None:
             on_round(metrics)
-    return ExperimentResult(
-        history=server.history,
-        final_params=server.global_params,
-        partitions=partitions,
-        wall_time_s=time.perf_counter() - start,
-    )
+    server.wall_time_s = time.perf_counter() - start
+    return server

@@ -114,8 +114,8 @@ def partition_dataset(labels, n_clients: int, alpha: float, rng_seed) -> list[Pa
         raise ValueError(
             f"dataset has {labels.shape[0]} samples, fewer than {n_clients} clients"
         )
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not (0 < alpha < math.inf):
+        raise ValueError("alpha must be finite and > 0")
     rng = np.random.default_rng(rng_seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
     for cls in sorted(set(labels.tolist())):  # not np.unique: see data.train_test_split

@@ -124,6 +124,8 @@ class SparsityPolicy:
                                  + (f"only {takes}" if takes else "no parameters"))
         if self.rate is not None:
             _check_rate(self.rate)
+        if self.tau is not None and not math.isfinite(self.tau):
+            raise ValueError("tau: must be finite")
         if self.tau is not None and not self.tau >= 0.0:
             raise ValueError("tau: must be >= 0")
 

@@ -117,6 +117,16 @@ class TestRun:
         assert "config error: alpha: must be >= 1e-05" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("alpha", float("inf")), ("learning_rate", float("inf")), ("alpha", float("nan"))])
+    def test_non_finite_number_is_config_error(self, smoke_config, capsys, key, value):
+        """json reads Infinity and NaN; a run rejects them before round 0."""
+        path, doc = smoke_config
+        path.write_text(json.dumps(dict(doc, **{key: value})))  # Infinity / NaN
+        assert main(["run", str(path), "--quiet"]) == EXIT_USAGE
+        assert f"config error: {key}: must be finite" in capsys.readouterr().err
+        assert not os.path.exists(doc["output_dir"])
+
     def test_csv_dataset_is_normalized_by_train_statistics(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"classes": 3, "per_class": 20, "input_dim": 4,
@@ -219,6 +229,7 @@ class TestGenData:
         ({"per_class": 2.5}, "spec.per_class: must be an integer"),
         ({"input_dim": True}, "spec.input_dim: must be an integer"),
         ({"seed": -1}, "spec.seed: must be >= 0"),
+        ({"separation": float("inf")}, "spec.separation: must be finite"),
     ])
     def test_ill_typed_value_named(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
@@ -254,7 +265,7 @@ class TestSweep:
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
         rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()
-        assert rows[0] == "alpha,policy,rate,final_accuracy,total_bytes,status"
+        assert rows[0] == "alpha,policy,rate,final_accuracy,uplink_bytes,status"
         assert len(rows) == 9  # header + 2 alphas x 4 rates
         assert all(r.endswith(",ok") for r in rows[1:])
         table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
@@ -301,6 +312,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "failed: policy.rate: must be in (0, 1]" in err
         assert "alpha=1e-07 policy=top_k rate=0.3 failed: alpha: must be >= 1e-05" in err
+
+    def test_non_finite_grid_alpha_fails_its_cell(self, smoke_config, tmp_path, capsys):
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.5, float("inf")], "rate": [0.3]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
+            EXIT_PARTIAL
+        assert "alpha=inf policy=top_k rate=0.3 failed: alpha: must be finite" \
+            in capsys.readouterr().err
 
     def test_dense_cells_share_rate_one(self, smoke_config, tmp_path, capsys):
         """A dense cell ignores the grid rate, so it runs once per alpha with

@@ -1,15 +1,17 @@
 """Config parsing: defaults, named diagnostics, round trips."""
 
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fedsparse.config import (ConfigError, CsvDataConfig, ExperimentConfig, ModelConfig,
                               SyntheticDataConfig, cell_policy, emit_config, parse_config,
                               parse_config_dict, parse_data_spec, parse_grid)
 from fedsparse.data import gen_synthetic
-from fedsparse.partition import MIN_ALPHA
+from fedsparse.partition import MIN_ALPHA, partition_dataset
 from fedsparse.sparsify import POLICY_KINDS, POLICY_PARAM, SparsityPolicy, retained_count
 
 MINIMAL = {
@@ -216,6 +218,58 @@ class TestOneOwner:
             parse_config_dict(dict(MINIMAL, learning_rate=-0.5))
         with pytest.raises(ConfigError, match=r"^learning_rate: must be >= 0$"):
             replace(direct, learning_rate=-0.5)
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestNonFinite:
+    """json reads Infinity and NaN as floats. The type that owns each float
+    key rejects them by name, in a parsed file and in code alike."""
+
+    @staticmethod
+    def parsed(tmp_path, doc) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))  # json writes inf as Infinity, nan as NaN
+        return _error(lambda: parse_config(path))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_alpha(self, tmp_path, value):
+        assert self.parsed(tmp_path, dict(MINIMAL, alpha=value)) == "alpha: must be finite"
+        base = parse_config_dict(dict(MINIMAL))
+        assert _error(lambda: replace(base, alpha=value)) == "alpha: must be finite"
+        with pytest.raises(ValueError, match=r"^alpha must be finite and > 0$"):
+            partition_dataset(np.array([0, 0, 1, 1]), 2, value, rng_seed=0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_learning_rate(self, tmp_path, value):
+        # the parser's own lr > 0 rule runs first and catches -inf and nan
+        expected = "finite" if value > 0 else "> 0"
+        assert (self.parsed(tmp_path, dict(MINIMAL, learning_rate=value))
+                == f"learning_rate: must be {expected}")
+        base = parse_config_dict(dict(MINIMAL))
+        assert (_error(lambda: replace(base, learning_rate=value))
+                == "learning_rate: must be finite")
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_separation(self, tmp_path, value):
+        dataset = {"kind": "synthetic", "separation": value}
+        assert (self.parsed(tmp_path, dict(MINIMAL, dataset=dataset))
+                == "dataset.separation: must be finite")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"separation": value}))
+        assert _error(lambda: parse_data_spec(spec)) == "spec.separation: must be finite"
+        with pytest.raises(ValueError, match=r"^separation: must be finite$"):
+            gen_synthetic(2, 10, 4, value, rng_seed=0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_tau(self, tmp_path, value):
+        policy = {"kind": "threshold", "tau": value}
+        assert (self.parsed(tmp_path, dict(MINIMAL, policy=policy))
+                == "policy.tau: must be finite")
+        assert _error(lambda: cell_policy("threshold", value)) == "policy.tau: must be finite"
+        with pytest.raises(ValueError, match=r"^tau: must be finite$"):
+            SparsityPolicy("threshold", tau=value)
 
 
 class TestRoundTrip:

@@ -17,7 +17,7 @@ from fedsparse.model import (ModelSpec, backward, group_losses, init_params, par
                              unpack_params)
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
-from fedsparse.sparsify import SparsityPolicy, decode, encode, encoded_size
+from fedsparse.sparsify import SparsityPolicy, decode, encode, encoded_size, retained_count
 
 
 def make_setup(n=30, input_dim=4, classes=3, seed=0):
@@ -59,11 +59,9 @@ class TestClientLocalTrain:
         cfg = cfg_with(SparsityPolicy("top_k", rate=1.0), batch=6)
         client = single_client(ds)
         w0 = init_params(spec)
-        rng = np.random.default_rng([1, 2, 0, 0])
-        update = client_local_train(client, w0, cfg, spec, ds, rng)
-        # replay the single batch
-        rng2 = np.random.default_rng([1, 2, 0, 0])
-        order = rng2.permutation(6)
+        update = client_local_train(client, w0, cfg, spec, ds)
+        # replay the single batch from the training stream (seed, 2, client, round)
+        order = np.random.default_rng([cfg.seed, 2, 0, 0]).permutation(6)
         g = backward(spec, w0, ds.inputs[order], ds.labels[order])
         expected = -(cfg.learning_rate * g)
         [sent] = wire
@@ -74,8 +72,7 @@ class TestClientLocalTrain:
         ds, spec = make_setup()
         policy = SparsityPolicy("top_k", rate=0.2)
         cfg = cfg_with(policy, lr=0.0, epochs=2)
-        update = client_local_train(single_client(ds), init_params(spec), cfg, spec,
-                                    ds, np.random.default_rng(0))
+        update = client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
         [sent] = wire
         assert np.all(sent.values == 0.0)
         m = max(1, math.ceil(0.2 * init_params(spec).shape[0] - 1e-9))
@@ -88,11 +85,10 @@ class TestClientLocalTrain:
                        epochs=2, batch=8, lr=0.05)
         client = single_client(ds)
         w0 = init_params(spec)
-        update = client_local_train(client, w0, cfg, spec, ds,
-                                    np.random.default_rng(42), round_index=0)
+        update = client_local_train(client, w0, cfg, spec, ds, round_index=2)
 
         w = w0.copy()
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng([cfg.seed, 2, 0, 2])
         d = w.shape[0]
         m = max(1, math.ceil(0.2 * d - 1e-9))
         for _ in range(2):
@@ -119,8 +115,7 @@ class TestClientLocalTrain:
         ds, spec = make_setup(n=24, seed=4)
         cfg = cfg_with(policy, epochs=2)
         w0 = init_params(spec)
-        update = client_local_train(single_client(ds), w0, cfg, spec, ds,
-                                    np.random.default_rng(7), round_index=4)
+        update = client_local_train(single_client(ds), w0, cfg, spec, ds, round_index=4)
         [sent] = wire
         assert update.indices.size > 0
         assert np.array_equal(sent.indices, update.indices)
@@ -130,21 +125,39 @@ class TestClientLocalTrain:
                                    update.values - w0[update.indices],
                                    rtol=2 ** -23, atol=0)
 
+    @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
+    def test_random_policy_is_keyed_by_seed_client_and_round(self, site):
+        """A random policy draws from its own stream (seed, 3, client, round),
+        plus (epoch, batch) per local_gradient step: a rerun gives the same
+        upload, another round another one."""
+        ds, spec = make_setup(n=24, seed=4)
+        cfg = cfg_with(SparsityPolicy("random", rate=0.3), site=site, epochs=2, seed=6)
+        client = ClientState(2, Partition(2, np.arange(len(ds))))
+        w0 = init_params(spec)
+        first, again, later = (client_local_train(client, w0, cfg, spec, ds, round_index=r)
+                               for r in (5, 5, 6))
+        assert np.array_equal(first.indices, again.indices)
+        assert np.array_equal(first.values, again.values)
+        assert not np.array_equal(first.values, later.values)
+        if site == "uploaded_delta":
+            d = w0.shape[0]
+            expected = np.random.default_rng([6, 3, 2, 5]).choice(
+                d, size=retained_count(0.3, d), replace=False)
+            assert np.array_equal(first.indices, np.sort(expected))
+
     def test_divergence_guard_names_client_and_batch(self):
         ds, spec = make_setup()
         cfg = cfg_with(SparsityPolicy("dense"), lr=1e150, epochs=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match=r"client 0.*batch"):
-                client_local_train(single_client(ds), init_params(spec), cfg, spec,
-                                   ds, np.random.default_rng(0))
+                client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
 
     def test_empty_partition_rejected(self):
         ds, spec = make_setup()
         client = ClientState(0, Partition(0, np.empty(0, dtype=np.int64)))
         cfg = cfg_with(SparsityPolicy("dense"))
         with pytest.raises(ValueError, match="empty partition"):
-            client_local_train(client, init_params(spec), cfg, spec, ds,
-                               np.random.default_rng(0))
+            client_local_train(client, init_params(spec), cfg, spec, ds)
 
 
 def params_update(client_id, count, params, indices=None):
@@ -449,7 +462,7 @@ class TestRunExperiment:
         assert 0.0 <= m.top1_accuracy <= 1.0
         assert m.global_loss >= 0.0
         assert m.uplink_bytes > 0 and m.downlink_bytes > 0
-        assert np.isfinite(result.final_params).all()
+        assert np.isfinite(result.global_params).all()
 
     def test_deterministic_history(self):
         a = run_experiment(self.base_config())
@@ -459,7 +472,7 @@ class TestRunExperiment:
             assert ma.top1_accuracy == mb.top1_accuracy
             assert ma.uplink_bytes == mb.uplink_bytes
             assert ma.downlink_bytes == mb.downlink_bytes
-        assert np.array_equal(a.final_params, b.final_params)
+        assert np.array_equal(a.global_params, b.global_params)
 
     def test_totals_match_history(self):
         result = run_experiment(self.base_config())
@@ -486,7 +499,35 @@ class TestRunExperiment:
                 b = order[start:start + config.batch_size]
                 w = w - config.learning_rate * backward(spec, w, train.inputs[b],
                                                         train.labels[b])
-        assert np.array_equal(result.final_params, w)
+        assert np.array_equal(result.global_params, w)
+
+    def test_every_policy_trains_on_top_k_batches(self, monkeypatch):
+        """The batch order comes from the training stream alone, so every
+        policy at either site hands backward the rows top-k does."""
+        batches = []
+
+        def record(spec, params, inputs, labels):
+            batches.append((inputs.copy(), labels.copy()))
+            return backward(spec, params, inputs, labels)
+
+        monkeypatch.setattr(federation.model_ops, "backward", record)
+
+        def rows(site, policy):
+            batches.clear()
+            server = run_experiment(self.base_config(sparsify_site=site, policy=policy,
+                                                     rounds=2, local_epochs=3, batch_size=4))
+            return list(batches), [len(p) for p in server.partitions]
+
+        reference, sizes = rows("uploaded_delta", {"kind": "top_k", "rate": 0.2})
+        assert len(reference) == 2 * 3 * sum(math.ceil(n / 4) for n in sizes)
+        for site in ("uploaded_delta", "local_gradient"):
+            for policy in ({"kind": "top_k", "rate": 0.2}, {"kind": "random", "rate": 0.2},
+                           {"kind": "threshold", "tau": 0.01}, {"kind": "dense"}):
+                got, _ = rows(site, policy)
+                assert len(got) == len(reference), (site, policy)
+                for (x, y), (x_ref, y_ref) in zip(got, reference):
+                    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref), \
+                        (site, policy)
 
     @pytest.mark.parametrize("site,policy", [
         ("local_gradient", {"kind": "dense"}),
@@ -502,6 +543,6 @@ class TestRunExperiment:
         dense = run_experiment(self.base_config(policy={"kind": "dense"}, **common))
         other = run_experiment(self.base_config(sparsify_site=site, policy=policy,
                                                 **common))
-        assert np.array_equal(other.final_params, dense.final_params)
+        assert np.array_equal(other.global_params, dense.global_params)
         assert ([m.csv_row() for m in other.history]
                 == [m.csv_row() for m in dense.history])
