@@ -119,8 +119,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # The one owner of the top-level range rules: parsed configs, sweep
         # cells made with dataclasses.replace and configs built in code all
-        # pass through here. learning_rate 0 is accepted (the conservation
-        # tests rely on it); parse_config_dict alone requires it to be > 0.
+        # pass through here.
         _require(self.seed >= 0, "seed", "must be >= 0")
         _require(self.clients >= 1, "clients", "must be >= 1")
         _require(self.clients <= MAX_CLIENT_ID, "clients",
@@ -136,7 +135,7 @@ class ExperimentConfig:
                  f"must be <= {MAX_ROUND} (the FSU1 round is a u32)")
         _require(self.local_epochs >= 1, "local_epochs", "must be >= 1")
         _require(math.isfinite(self.learning_rate), "learning_rate", "must be finite")
-        _require(self.learning_rate >= 0, "learning_rate", "must be >= 0")
+        _require(self.learning_rate > 0, "learning_rate", "must be > 0")
         _require(self.batch_size >= 1, "batch_size", "must be >= 1")
         _require(0.0 < self.participation <= 1.0, "participation", "must be in (0, 1]")
         _require(0.0 < self.test_fraction < 1.0, "test_fraction", "must be in (0, 1)")
@@ -226,9 +225,6 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
         "policy": lambda policy: _build(SparsityPolicy, policy, "policy"),
         "model": lambda model: _build(ModelConfig, model, "model"),
     })
-    # a run needs lr > 0; ExperimentConfig itself also accepts 0
-    _require(values.get("learning_rate", ExperimentConfig.learning_rate) > 0,
-             "learning_rate", "must be > 0")
     return ExperimentConfig(**values)
 
 

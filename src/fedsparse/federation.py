@@ -186,13 +186,11 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
 
 
 def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
-    """Data-weighted model average sum_i (n_i / n) * w_i.
-
-    Updates are combined in ascending client_id order regardless of the
-    list order. A zero sample count is rejected rather than ignored.
-    Each client model is `prev` with the upload's values written at its
-    indices. When every client model is identical the average is that
-    model exactly (this keeps lr = 0 rounds a strict no-op).
+    """Data-weighted model average sum_i (n_i / n) * w_i, summed in ascending
+    client_id order regardless of the list order: the sum starts from the
+    first client's term and adds each later term to it. Each client model
+    w_i is `prev` with the upload's values written at its indices. A zero
+    sample count is rejected rather than ignored.
     """
     if not updates:
         raise ValueError("aggregate needs at least one update")
@@ -201,9 +199,7 @@ def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
             raise ValueError(f"client {u.client_id} has sample_count {u.sample_count}")
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = sum(u.sample_count for u in ordered)
-    first = None
-    identical = True
-    acc = np.zeros_like(prev)
+    acc = None
     for u in ordered:
         k = u.indices
         if len(k) != len(u.values) or (len(k) and (k.min() < 0 or k.max() >= len(prev))):
@@ -212,11 +208,12 @@ def aggregate(updates: list[ClientUpdate], prev: np.ndarray) -> np.ndarray:
         # one client model alive at a time, not one per client
         m = prev.copy()
         m[k] = u.values
-        if first is None:
-            first = m
-        identical = identical and np.array_equal(m, first)
-        acc += (u.sample_count / total) * m
-    return first if identical else acc
+        m *= u.sample_count / total
+        if acc is None:
+            acc = m
+        else:
+            acc += m
+    return acc
 
 
 def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
@@ -229,8 +226,6 @@ def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
     if not partitions:
         raise ValueError("global_loss needs at least one partition")
     sizes = [len(p) for p in partitions]
-    if min(sizes) == 0:
-        raise ValueError("global_loss over an empty partition")
     total = sum(sizes)
     idx = np.concatenate([p.sample_indices for p in partitions])
     means = model_ops.group_losses(model_spec, params, dataset.inputs[idx],

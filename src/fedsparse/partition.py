@@ -120,10 +120,7 @@ def partition_dataset(labels, n_clients: int, alpha: float, rng_seed) -> list[Pa
     per_client: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
     for cls in sorted(set(labels.tolist())):  # not np.unique: see data.train_test_split
         cls_idx = np.flatnonzero(labels == cls)
-        if n_clients == 1:
-            props = np.ones(1)
-        else:
-            props = _sample_proportions((alpha,) * n_clients, rng)
+        props = _sample_proportions((alpha,) * n_clients, rng)
         shuffled = rng.permutation(cls_idx)
         counts = _largest_remainder(props * cls_idx.shape[0], cls_idx.shape[0])
         start = 0

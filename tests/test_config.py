@@ -206,18 +206,16 @@ class TestOneOwner:
             ExperimentConfig(seed=0, dataset=SyntheticDataConfig(),
                              policy=SparsityPolicy("dense"), batch_size=0)
 
-    def test_learning_rate_zero_only_when_built_directly(self):
-        direct = ExperimentConfig(seed=0, dataset=SyntheticDataConfig(),
-                                  policy=SparsityPolicy("dense"), learning_rate=0.0)
-        assert direct.learning_rate == 0.0
-        assert replace(parse_config_dict(dict(MINIMAL)), learning_rate=0.0) \
-            .learning_rate == 0.0
-        with pytest.raises(ConfigError, match=r"^learning_rate: must be > 0$"):
-            parse_config_dict(dict(MINIMAL, learning_rate=0.0))
-        with pytest.raises(ConfigError, match=r"^learning_rate: must be > 0$"):
-            parse_config_dict(dict(MINIMAL, learning_rate=-0.5))
-        with pytest.raises(ConfigError, match=r"^learning_rate: must be >= 0$"):
-            replace(direct, learning_rate=-0.5)
+    @pytest.mark.parametrize("value", [0.0, -0.5], ids=str)
+    def test_learning_rate_must_be_positive_on_every_path(self, value):
+        expected = r"^learning_rate: must be > 0$"
+        with pytest.raises(ConfigError, match=expected):
+            ExperimentConfig(seed=0, dataset=SyntheticDataConfig(),
+                             policy=SparsityPolicy("dense"), learning_rate=value)
+        with pytest.raises(ConfigError, match=expected):
+            replace(parse_config_dict(dict(MINIMAL)), learning_rate=value)
+        with pytest.raises(ConfigError, match=expected):
+            parse_config_dict(dict(MINIMAL, learning_rate=value))
 
 
 NON_FINITE = [math.inf, -math.inf, math.nan]
@@ -243,13 +241,14 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     def test_learning_rate(self, tmp_path, value):
-        # the parser's own lr > 0 rule runs first and catches -inf and nan
-        expected = "finite" if value > 0 else "> 0"
         assert (self.parsed(tmp_path, dict(MINIMAL, learning_rate=value))
-                == f"learning_rate: must be {expected}")
+                == "learning_rate: must be finite")
         base = parse_config_dict(dict(MINIMAL))
         assert (_error(lambda: replace(base, learning_rate=value))
                 == "learning_rate: must be finite")
+        assert _error(lambda: ExperimentConfig(
+            seed=0, dataset=SyntheticDataConfig(), policy=SparsityPolicy("dense"),
+            learning_rate=value)) == "learning_rate: must be finite"
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
     def test_separation(self, tmp_path, value):

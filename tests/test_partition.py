@@ -129,6 +129,13 @@ class TestPartitioning:
         assert np.array_equal(parts[0].sample_indices, np.arange(300))
         assert len(parts[0]) == 300
 
+    @pytest.mark.parametrize("alpha", [1e-5, 0.3, 1e3])
+    def test_single_client_gets_every_index_sorted(self, alpha):
+        labels = np.random.default_rng(4).integers(0, 4, size=50)
+        parts = partition_dataset(labels, 1, alpha, rng_seed=1)
+        assert len(parts) == 1
+        assert np.array_equal(parts[0].sample_indices, np.arange(50))
+
     def test_disjoint_cover_and_sizes(self):
         labels = balanced_labels()
         parts = partition_dataset(labels, 3, 0.3, rng_seed=1)
