@@ -55,7 +55,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class ClientState:
-    client_id: int
+    """A client of the run: the partition it trains on, which carries its id."""
+
     partition: Partition
 
 
@@ -136,36 +137,48 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
 
     local_gradient: each batch gradient is sparsified first and only the
     retained coordinates are stepped; the dense local model is uploaded.
+
+    Divergence has one exit at both sites: a non-finite gradient (checked
+    before sparsify on local_gradient) or non-finite parameters after a
+    step raise TrainingDiverged naming client, round, epoch and batch.
+    The steps run with numpy's overflow and invalid-value warnings off, so
+    no warning filter turns a diverging step into another error first.
     """
+    client_id = client.partition.client_id
     idx = client.partition.sample_indices
     n = idx.shape[0]
     if n == 0:
-        raise ValueError(f"client {client.client_id} has an empty partition")
-    rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client.client_id, round_index])
-    policy_key = [cfg.seed, _POLICY_TAG, client.client_id, round_index]
+        raise ValueError(f"client {client_id} has an empty partition")
+    rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client_id, round_index])
+    policy_key = [cfg.seed, _POLICY_TAG, client_id, round_index]
     w = np.array(global_params, dtype=np.float64, copy=True)
     delta = np.zeros_like(w) if cfg.sparsify_site == "uploaded_delta" else None
 
-    for epoch in range(cfg.local_epochs):
-        order = idx[rng.permutation(n)]
-        inputs = dataset.inputs[order]
-        labels = dataset.labels[order]
-        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            stop = start + cfg.batch_size
-            grad = model_ops.backward(model_spec, w, inputs[start:stop], labels[start:stop])
-            if cfg.sparsify_site == "local_gradient":
-                keep = sparsify(grad, cfg.policy, [*policy_key, epoch, batch_no])
-                # unretained coordinates would get w - 0.0, the same bits as w
-                w[keep] -= cfg.learning_rate * grad[keep]
-            else:
-                grad *= cfg.learning_rate
-                w -= grad
-                delta -= grad
-            if not np.isfinite(w).all():
-                raise TrainingDiverged(
-                    f"client {client.client_id}: non-finite parameters in round "
-                    f"{round_index}, epoch {epoch}, batch {batch_no}"
-                )
+    def diverged(what, epoch, batch_no):
+        return TrainingDiverged(f"client {client_id}: non-finite {what} in round "
+                                f"{round_index}, epoch {epoch}, batch {batch_no}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.local_epochs):
+            order = idx[rng.permutation(n)]
+            inputs = dataset.inputs[order]
+            labels = dataset.labels[order]
+            for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
+                stop = start + cfg.batch_size
+                grad = model_ops.backward(model_spec, w, inputs[start:stop],
+                                          labels[start:stop])
+                if cfg.sparsify_site == "local_gradient":
+                    if not np.isfinite(grad).all():
+                        raise diverged("gradient", epoch, batch_no)
+                    keep = sparsify(grad, cfg.policy, [*policy_key, epoch, batch_no])
+                    # unretained coordinates would get w - 0.0, the same bits as w
+                    w[keep] -= cfg.learning_rate * grad[keep]
+                else:
+                    grad *= cfg.learning_rate
+                    w -= grad
+                    delta -= grad
+                if not np.isfinite(w).all():
+                    raise diverged("parameters", epoch, batch_no)
 
     if cfg.sparsify_site == "local_gradient":
         keep, values = np.arange(w.shape[0]), w
@@ -175,9 +188,9 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
         values = w[keep]
         uplink_bytes = len(encode(SparseUpdate(w.shape[0], keep, delta[keep],
                                                round=round_index,
-                                               client_id=client.client_id)))
+                                               client_id=client_id)))
     return ClientUpdate(
-        client_id=client.client_id,
+        client_id=client_id,
         sample_count=n,
         indices=keep,
         values=values,
@@ -220,16 +233,15 @@ def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
                 partitions: list[Partition]) -> float:
     """Weighted sum of per-client mean cross-entropy, weights |D_i| / |D|.
 
-    Every partition's rows are gathered at once and evaluated in one pass;
+    Each partition's indices name its rows, so the dataset is read in place;
     each client's mean loss has the bits of a loss call on its rows alone.
     """
     if not partitions:
         raise ValueError("global_loss needs at least one partition")
     sizes = [len(p) for p in partitions]
     total = sum(sizes)
-    idx = np.concatenate([p.sample_indices for p in partitions])
-    means = model_ops.group_losses(model_spec, params, dataset.inputs[idx],
-                                   dataset.labels[idx], sizes)
+    means = model_ops.group_losses(model_spec, params, dataset.inputs, dataset.labels,
+                                   [p.sample_indices for p in partitions])
     value = 0.0
     for size, mean in zip(sizes, means):
         value += (size / total) * mean
@@ -259,13 +271,15 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
                for cid in selected]
     uplink = sum(u.uplink_bytes for u in updates)
 
-    aggregated = aggregate(updates, server.global_params)
-    if not np.isfinite(aggregated).all():
-        raise TrainingDiverged(f"aggregated parameters non-finite in round {t}")
-
     partitions = [c.partition for c in clients]
-    loss_value = global_loss(model_spec, aggregated, train_ds, partitions)
-    accuracy = model_ops.evaluate(model_spec, aggregated, test_ds.inputs, test_ds.labels)
+    # A finite model near the float64 limit can overflow here; that reads as
+    # a non-finite loss, and the next round's per-step check stops the run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        aggregated = aggregate(updates, server.global_params)
+        if not np.isfinite(aggregated).all():
+            raise TrainingDiverged(f"aggregated parameters non-finite in round {t}")
+        loss_value = global_loss(model_spec, aggregated, train_ds, partitions)
+        accuracy = model_ops.evaluate(model_spec, aggregated, test_ds.inputs, test_ds.labels)
 
     metrics = RoundMetrics(
         round=t,
@@ -309,7 +323,7 @@ def run_experiment(config: ExperimentConfig, on_round=None) -> ServerState:
         seed=config.seed,
     )
     server = ServerState(global_params=model_ops.init_params(spec), partitions=partitions)
-    clients = [ClientState(p.client_id, p) for p in partitions]
+    clients = [ClientState(p) for p in partitions]
     for _ in range(config.rounds):
         metrics = run_round(server, clients, config, spec, train_ds, test_ds)
         if on_round is not None:

@@ -159,37 +159,34 @@ def _per_sample_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def group_losses(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-                 labels: np.ndarray, sizes) -> list[float]:
-    """Mean cross-entropy of each consecutive row group; group j is the
-    next sizes[j] rows of inputs and labels.
+                 labels: np.ndarray, groups) -> list[float]:
+    """Mean cross-entropy of each row group; groups[j] lists the indices of
+    group j's rows in inputs and labels, in summation order.
 
-    Equal, bit for bit, to calling loss on each group alone: inputs and
-    labels are checked and the parameters unpacked once, each group gets
-    its own forward pass, and the per-sample losses of all groups are
-    computed at once, then summed left to right within each group.
+    Equal, bit for bit, to calling loss on each group's rows alone: inputs
+    and labels are checked and the parameters unpacked once, each group's
+    rows are gathered for its own forward pass, and the per-sample losses of
+    all groups are computed at once, then summed left to right per group.
     """
     inputs = _check_inputs(spec, inputs)
-    if not sizes or min(sizes) < 1:
-        raise ValueError("loss needs at least one group and one row per group")
-    bounds = [0, *itertools.accumulate(sizes)]
-    if bounds[-1] != inputs.shape[0]:
-        raise ValueError(f"group sizes sum to {bounds[-1]}, inputs have "
-                         f"{inputs.shape[0]} rows")
     labels = _check_labels(labels, spec.class_count, inputs.shape[0])
+    if not groups or min(len(g) for g in groups) < 1:
+        raise ValueError("loss needs at least one group and one row per group")
     layers = unpack_params(spec, params)
     # One forward pass per group: BLAS may round a product over another row
     # count differently in the last bit. The loss itself is row-wise.
-    logits = np.concatenate([_activations(spec, layers, inputs[lo:hi])[-1]
-                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+    logits = np.concatenate([_activations(spec, layers, inputs[g])[-1] for g in groups])
+    labels = np.concatenate([labels[g] for g in groups])
     per_sample = _per_sample_losses(logits, labels).tolist()
+    bounds = [0, *itertools.accumulate(len(g) for g in groups)]
     return [_sum_left_to_right(per_sample[lo:hi]) / (hi - lo)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Batch mean cross-entropy: group_losses with the whole batch as one group."""
+    """Batch mean cross-entropy: group_losses with every row, in order, as one group."""
     inputs = _check_inputs(spec, inputs)
-    return group_losses(spec, params, inputs, labels, [inputs.shape[0]])[0]
+    return group_losses(spec, params, inputs, labels, [np.arange(inputs.shape[0])])[0]
 
 
 def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

@@ -198,9 +198,10 @@ def encode(u: SparseUpdate) -> bytes:
     if not (0 <= u.client_id <= MAX_CLIENT_ID):
         raise ValueError("client_id does not fit the 2-byte wire field")
     header = _HEADER.pack(MAGIC, WIRE_VERSION, u.dim, m, u.round, u.client_id)
-    return (header
-            + u.indices.astype("<u4").tobytes()
-            + u.values.astype("<f4").tobytes())
+    # a finite value beyond float32 range goes on the wire as +-inf, unwarned
+    with np.errstate(over="ignore"):
+        values = u.values.astype("<f4")
+    return header + u.indices.astype("<u4").tobytes() + values.tobytes()
 
 
 def decode(data: bytes) -> SparseUpdate:

@@ -266,7 +266,7 @@ def test_criterion_9_fedavg_degeneration():
         parts = partition_dataset(train.labels, 1, config.alpha, [config.seed, 12])
         spec = ModelSpec((train.input_dim, 8, train.class_count), seed=config.seed)
         server = ServerState(global_params=init_params(spec))
-        clients = [ClientState(0, parts[0])]
+        clients = [ClientState(parts[0])]
 
         reference = init_params(spec)
         idx = parts[0].sample_indices

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -80,6 +81,27 @@ class TestRun:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src)).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("batch", [8, 64], ids=["in_round_0", "after_eval"])
+    @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
+    def test_diverging_run_exits_2_under_warnings_as_errors(self, smoke_config, site,
+                                                            batch):
+        """A batch of 64 takes the whole partition, so each round is one step
+        and the run first meets a huge but finite model in the codec and the
+        round's evaluation; both stay quiet and the next step's check fails."""
+        path, doc = smoke_config
+        path.write_text(json.dumps({**doc, "sparsify_site": site, "batch_size": batch,
+                                    "rounds": 3, "learning_rate": 1e150}))
+        src = os.path.dirname(os.path.dirname(fedsparse.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fedsparse.cli import main; "
+             "sys.exit(main())", "run", str(path), "--quiet"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"))
+        assert proc.returncode == EXIT_RUNTIME
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert re.fullmatch(r"fedsparse: error: client \d+: non-finite (gradient|parameters) "
+                            r"in round \d+, epoch \d+, batch \d+\n", proc.stderr)
 
     def test_rerun_is_byte_identical(self, smoke_config):
         path, doc = smoke_config

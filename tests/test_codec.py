@@ -74,6 +74,11 @@ class TestRoundTrip:
         assert got.values[0] == np.float64(np.float32(0.1))
         assert got.values[0] != 0.1
 
+    def test_value_beyond_float32_range_goes_as_inf_unwarned(self):
+        """pytest turns warnings into errors, so a cast warning fails this."""
+        got = decode(encode(SparseUpdate(3, [0, 2], [1e39, -1e39])))
+        assert got.values.tolist() == [np.inf, -np.inf]
+
     def test_encode_decode_identity_on_bytes(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -1,6 +1,7 @@
 """Federated round mechanics: local training, aggregation, metering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,7 @@ def make_setup(n=30, input_dim=4, classes=3, seed=0):
 
 
 def single_client(ds):
-    part = Partition(0, np.arange(len(ds)))
-    return ClientState(0, part)
+    return ClientState(Partition(0, np.arange(len(ds))))
 
 
 def cfg_with(policy, site="uploaded_delta", lr=0.05, epochs=1, batch=8, rounds=1,
@@ -122,7 +122,7 @@ class TestClientLocalTrain:
         upload, another round another one."""
         ds, spec = make_setup(n=24, seed=4)
         cfg = cfg_with(SparsityPolicy("random", rate=0.3), site=site, epochs=2, seed=6)
-        client = ClientState(2, Partition(2, np.arange(len(ds))))
+        client = ClientState(Partition(2, np.arange(len(ds))))
         w0 = init_params(spec)
         first, again, later = (client_local_train(client, w0, cfg, spec, ds, round_index=r)
                                for r in (5, 5, 6))
@@ -135,16 +135,27 @@ class TestClientLocalTrain:
                 d, size=retained_count(0.3, d), replace=False)
             assert np.array_equal(first.indices, np.sort(expected))
 
-    def test_divergence_guard_names_client_and_batch(self):
+    @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
+    def test_divergence_guard_names_client_and_batch(self, site):
+        """Both sites stop with the same error, under pytest's warnings-as-errors
+        rule: no numpy warning and no NaN check in sparsify comes first."""
         ds, spec = make_setup()
-        cfg = cfg_with(SparsityPolicy("dense"), lr=1e150, epochs=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match=r"client 0.*batch"):
-                client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
+        cfg = cfg_with(SparsityPolicy("top_k", rate=0.5), site=site, lr=1e150, epochs=3)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^client 0: non-finite \w+ in round 0, epoch 0, batch \d+$"):
+            client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
+
+    def test_client_id_comes_from_the_partition(self, wire):
+        ds, spec = make_setup()
+        client = ClientState(Partition(5, np.arange(len(ds))))
+        update = client_local_train(client, init_params(spec),
+                                    cfg_with(SparsityPolicy("top_k", rate=0.5)), spec, ds)
+        [sent] = wire
+        assert update.client_id == sent.client_id == decode(encode(sent)).client_id == 5
 
     def test_empty_partition_rejected(self):
         ds, spec = make_setup()
-        client = ClientState(0, Partition(0, np.empty(0, dtype=np.int64)))
+        client = ClientState(Partition(0, np.empty(0, dtype=np.int64)))
         cfg = cfg_with(SparsityPolicy("dense"))
         with pytest.raises(ValueError, match="empty partition"):
             client_local_train(client, init_params(spec), cfg, spec, ds)
@@ -265,9 +276,10 @@ def reference_global_loss(spec, params, ds, parts):
     return value
 
 
-def consecutive_partitions(sizes, seed):
-    """Disjoint partitions of the given sizes over a shuffled index range."""
-    order = np.random.default_rng(seed).permutation(sum(sizes))
+def consecutive_partitions(sizes, seed, rows=None):
+    """Disjoint partitions of the given sizes over a shuffled index range of
+    `rows` (default: the sizes' sum) rows."""
+    order = np.random.default_rng(seed).permutation(sum(sizes) if rows is None else rows)
     bounds = np.cumsum([0, *sizes])
     return [Partition(i, order[lo:hi]) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
@@ -277,16 +289,26 @@ class TestGlobalLoss:
            st.lists(st.integers(1, 9), min_size=1, max_size=3),
            st.integers(1, 12), st.integers(2, 5),
            st.lists(st.sampled_from([1, 1, 2, 3, 8, 17]), min_size=1, max_size=8),
-           st.integers(0, 2 ** 31 - 1))
+           st.integers(0, 6), st.booleans(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_per_partition_loss(self, activation, hidden, d, c,
-                                                 sizes, seed):
+                                                 sizes, unread, overlap, seed):
+        """Shuffled, non-contiguous and single-row index groups, which may
+        share rows and leave `unread` rows out: each group's mean has the
+        bits of a loss call on that group's rows alone."""
         spec = ModelSpec((d, *hidden, c), activation=activation, seed=seed)
         rng = np.random.default_rng(seed)
         params = init_params(spec) + 0.1 * rng.standard_normal(param_count(spec))
-        n = sum(sizes)
+        n = sum(sizes) + unread
         ds = Dataset(rng.standard_normal((n, d)), rng.integers(0, c, size=n), c)
-        parts = consecutive_partitions(sizes, seed)
+        if overlap:
+            parts = [Partition(i, rng.choice(n, size=s, replace=False))
+                     for i, s in enumerate(sizes)]
+        else:
+            parts = consecutive_partitions(sizes, seed, rows=n)
+        groups = [p.sample_indices for p in parts]
+        assert group_losses(spec, params, ds.inputs, ds.labels, groups) == \
+            [model_loss(spec, params, ds.inputs[g], ds.labels[g]) for g in groups]
         assert global_loss(spec, params, ds, parts) == \
             reference_global_loss(spec, params, ds, parts)
 
@@ -310,7 +332,8 @@ class TestGlobalLoss:
         groups = list(zip(bounds, bounds[1:]))
         own = [reference_mean_loss(reference_logits(spec, params, inputs[lo:hi]),
                                    labels[lo:hi]) for lo, hi in groups]
-        assert group_losses(spec, params, inputs, labels, sizes) == own
+        assert group_losses(spec, params, ds.inputs, ds.labels,
+                            [p.sample_indices for p in parts]) == own
         pooled_logits = reference_logits(spec, params, inputs)  # one product chain
         pooled = [reference_mean_loss(pooled_logits[lo:hi], labels[lo:hi])
                   for lo, hi in groups]
@@ -342,6 +365,23 @@ class TestGlobalLoss:
         pooled = model_loss(spec, params, ds.inputs, ds.labels)
         assert global_loss(spec, params, ds, parts) == pytest.approx(pooled, rel=1e-12)
 
+    def test_reads_the_training_set_in_place(self):
+        """Each partition's rows are gathered for its own pass only, so the
+        peak allocation stays below one copy of the inputs."""
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.standard_normal((2000, 256)), rng.integers(0, 10, size=2000), 10)
+        spec = ModelSpec((256, 16, 10), seed=8)
+        params = init_params(spec)
+        parts = [Partition(i, idx)
+                 for i, idx in enumerate(np.array_split(rng.permutation(2000), 10))]
+        tracemalloc.start()
+        try:
+            global_loss(spec, params, ds, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.inputs.nbytes
+
     def test_empty_partition_rejected(self):
         """group_losses owns the one-row-per-group rule."""
         ds, spec = make_setup()
@@ -358,7 +398,7 @@ def run_setup(policy, site="uploaded_delta", seed=11, n_clients=3, epochs=1,
     test = gen_synthetic(3, 5, spec_sizes[0], 2.0, rng_seed=seed + 1)
     spec = ModelSpec(spec_sizes, seed=seed)
     parts = partition_dataset(ds.labels, n_clients, 0.5, rng_seed=seed)
-    clients = [ClientState(p.client_id, p) for p in parts]
+    clients = [ClientState(p) for p in parts]
     server = ServerState(global_params=init_params(spec))
     cfg = cfg_with(policy, site=site, epochs=epochs, batch=batch, seed=run_seed)
     return ds, test, spec, clients, server, cfg
@@ -393,7 +433,7 @@ class TestRunRound:
         locals_ = []
         counts = []
         for c in clients:
-            rng = np.random.default_rng([cfg.seed, 2, c.client_id, 0])
+            rng = np.random.default_rng([cfg.seed, 2, c.partition.client_id, 0])
             w = w0.copy()
             idx = c.partition.sample_indices
             for _ in range(2):
