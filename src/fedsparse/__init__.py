@@ -15,5 +15,5 @@ from .model import ModelSpec, backward, evaluate, init_params, param_count
 from .partition import Partition, partition_dataset
 # The `sparsify` function is not re-exported: it would hide the submodule
 # of the same name (`from fedsparse import sparsify` is the module).
-from .sparsify import (DecodeError, SparseUpdate, SparsityPolicy, decode, densify,
-                       encode, encoded_size, retained_count)
+from .sparsify import (SparseUpdate, SparsityPolicy, densify, encode, encoded_size,
+                       retained_count)

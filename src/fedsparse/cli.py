@@ -4,7 +4,6 @@ Subcommands:
 
     run <config.json>                      single experiment
     sweep <config.json> --grid <grid.json> alpha x policy x rate grid
-    dump-update <file.fsu>                 print a wire update as JSON
     gen-data <spec.json> -o <out.csv>      write a synthetic dataset
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 partial
@@ -27,7 +26,6 @@ from .config import (ConfigError, ExperimentConfig, cell_policy, emit_config, pa
                      parse_data_spec, parse_grid)
 from .data import csv_text, gen_synthetic
 from .federation import RoundMetrics, ServerState, run_experiment
-from .sparsify import DecodeError, decode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,21 +205,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dump_update(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    update = decode(data)
-    doc = {
-        "dim": update.dim,
-        "round": update.round,
-        "client_id": update.client_id,
-        "count": len(update),
-        "entries": [[int(i), float(v)] for i, v in zip(update.indices, update.values)],
-    }
-    print(json.dumps(doc, indent=2))
-    return EXIT_OK
-
-
 def _cmd_gen_data(args) -> int:
     data, seed = parse_data_spec(args.spec)
     ds = gen_synthetic(data.classes, data.per_class, data.input_dim, data.separation,
@@ -264,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--quiet", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_dump = sub.add_parser("dump-update", help="print an FSU1 file as JSON")
-    p_dump.add_argument("file")
-    p_dump.set_defaults(func=_cmd_dump_update)
-
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
     p_gen.add_argument("spec")
     p_gen.add_argument("-o", "--out", required=True)
@@ -286,7 +265,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"fedsparse: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DecodeError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"fedsparse: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,7 +8,6 @@ input_dim finite float feature columns followed by one integer label column.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +131,8 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
 def train_test_split(ds: Dataset, test_fraction: float,
                      rng_seed) -> tuple[Dataset, Dataset]:
     """Stratified split: each class contributes round(fraction * count)
-    test samples (at least one stays in train). Deterministic given seed."""
+    test samples (at least one stays in train, so a class with a single
+    sample is kept in train, silently). Deterministic given seed."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(rng_seed)
@@ -143,10 +143,6 @@ def train_test_split(ds: Dataset, test_fraction: float,
     for cls in sorted(set(ds.labels.tolist())):
         cls_idx = rng.permutation(np.flatnonzero(ds.labels == cls))
         n_cls = cls_idx.shape[0]
-        if n_cls == 1:
-            warnings.warn(f"class {cls} has a single sample; keeping it in train")
-            train_idx.append(cls_idx)
-            continue
         n_test = int(np.floor(test_fraction * n_cls + 0.5))
         n_test = min(n_test, n_cls - 1)  # keep the class represented in train
         test_idx.append(cls_idx[:n_test])

@@ -1,4 +1,4 @@
-"""Update sparsification, the sparse-update container, and its wire codec.
+"""Update sparsification, the sparse-update container, and its wire encoder.
 
 `sparsify` returns the indices a policy keeps; the caller builds the
 SparseUpdate that goes on the wire from them. Three ways to shrink a
@@ -41,16 +41,13 @@ MAX_CLIENT_ID = 2 ** 16 - 1  # u16 client id field
 _HEADER = struct.Struct("<4sBQQIH")
 
 
-class DecodeError(ValueError):
-    """Malformed FSU1 payload; message names the byte offset of the problem."""
-
-
-@dataclass
+@dataclass(eq=False)
 class SparseUpdate:
     """Index/value pairs of a sparsified length-`dim` vector.
 
     Indices are strictly increasing and < dim. `round` and `client_id`
-    tag the update's origin and travel on the wire.
+    tag the update's origin and travel on the wire. Equality is identity:
+    the tests compare fields.
     """
 
     dim: int
@@ -80,17 +77,6 @@ class SparseUpdate:
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseUpdate):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.round == other.round
-            and self.client_id == other.client_id
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
 
 
 # The parameter each policy kind takes; dense takes none.
@@ -202,39 +188,3 @@ def encode(u: SparseUpdate) -> bytes:
     with np.errstate(over="ignore"):
         values = u.values.astype("<f4")
     return header + u.indices.astype("<u4").tobytes() + values.tobytes()
-
-
-def decode(data: bytes) -> SparseUpdate:
-    """Parse FSU1 bytes; inverse of encode at float32 value precision."""
-    if len(data) < HEADER_BYTES:
-        raise DecodeError(
-            f"truncated header at offset {len(data)}: need {HEADER_BYTES} bytes, "
-            f"got {len(data)}"
-        )
-    magic, version, dim, m, rnd, client_id = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise DecodeError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    if version != WIRE_VERSION:
-        raise DecodeError(f"unsupported version {version} at offset 4")
-    expected = encoded_size(m)
-    if len(data) != expected:
-        raise DecodeError(
-            f"payload length mismatch at offset {min(len(data), expected)}: "
-            f"expected {expected} bytes for {m} entries, got {len(data)}"
-        )
-    indices = np.frombuffer(data, dtype="<u4", count=m, offset=HEADER_BYTES).astype(np.int64)
-    values = np.frombuffer(data, dtype="<f4", count=m,
-                           offset=HEADER_BYTES + 4 * m).astype(np.float64)
-    if m:
-        if indices.max() >= dim:
-            bad = int(np.argmax(indices >= dim))
-            raise DecodeError(
-                f"index {indices[bad]} >= dim {dim} at offset {HEADER_BYTES + 4 * bad}"
-            )
-        steps = np.diff(indices)
-        if np.any(steps <= 0):
-            bad = int(np.argmax(steps <= 0)) + 1
-            raise DecodeError(
-                f"non-increasing index at offset {HEADER_BYTES + 4 * bad}"
-            )
-    return SparseUpdate(dim, indices, values, round=rnd, client_id=client_id)

@@ -6,18 +6,23 @@ check that pass directly. finite_diff_grad checks model.backward;
 log_gamma, DirichletParams, sample_dirichlet and dirichlet_log_pdf check
 the Dirichlet sampler that partition.partition_dataset draws client
 proportions from. Log-Gamma uses the 9-coefficient Lanczos approximation
-with reflection for x < 0.5.
+with reflection for x < 0.5. decode reads the FSU1 layout the README
+documents, spelled out here rather than taken from sparsify, so the tests
+check sparsify.encode against the documented table; update_fields
+compares two updates field by field.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from fedsparse.model import ModelSpec, _activations, _check_inputs, loss, unpack_params
 from fedsparse.partition import _sample_proportions
+from fedsparse.sparsify import SparseUpdate
 
 
 def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -122,3 +127,50 @@ def dirichlet_log_pdf(params: DirichletParams, x) -> float:
         if a != 1.0:  # skip exponent-zero terms so x_i = 0 stays well-defined
             total += (a - 1.0) * math.log(xi) if xi > 0 else -math.inf
     return total
+
+
+# README "Wire format (FSU1)": magic, version, dim, entry count, round,
+# client id, little-endian; then m u32 indices and m f32 values.
+_FSU1_HEADER = struct.Struct("<4sBQQIH")
+_FSU1_HEADER_BYTES = 27
+
+
+def decode(data: bytes) -> SparseUpdate:
+    """Parse FSU1 bytes: the inverse of encode at float32 value precision.
+
+    Raises ValueError naming the byte offset of the first problem: a
+    truncated header, a bad magic, a version other than 1, a length other
+    than 27 + 8m, an index >= dim or an index not above its predecessor.
+    """
+    if len(data) < _FSU1_HEADER_BYTES:
+        raise ValueError(f"truncated header at offset {len(data)}: need "
+                         f"{_FSU1_HEADER_BYTES} bytes, got {len(data)}")
+    magic, version, dim, m, rnd, client_id = _FSU1_HEADER.unpack_from(data, 0)
+    if magic != b"FSU1":
+        raise ValueError(f"bad magic {magic!r} at offset 0, expected b'FSU1'")
+    if version != 1:
+        raise ValueError(f"unsupported version {version} at offset 4")
+    expected = _FSU1_HEADER_BYTES + 8 * m
+    if len(data) != expected:
+        raise ValueError(f"payload length mismatch at offset {min(len(data), expected)}: "
+                         f"expected {expected} bytes for {m} entries, got {len(data)}")
+    indices = np.frombuffer(data, dtype="<u4", count=m,
+                            offset=_FSU1_HEADER_BYTES).astype(np.int64)
+    values = np.frombuffer(data, dtype="<f4", count=m,
+                           offset=_FSU1_HEADER_BYTES + 4 * m).astype(np.float64)
+    if m:
+        if indices.max() >= dim:
+            bad = int(np.argmax(indices >= dim))
+            raise ValueError(f"index {indices[bad]} >= dim {dim} "
+                             f"at offset {_FSU1_HEADER_BYTES + 4 * bad}")
+        steps = np.diff(indices)
+        if np.any(steps <= 0):
+            bad = int(np.argmax(steps <= 0)) + 1
+            raise ValueError(f"non-increasing index at offset {_FSU1_HEADER_BYTES + 4 * bad}")
+    return SparseUpdate(dim, indices, values, round=rnd, client_id=client_id)
+
+
+def update_fields(u: SparseUpdate) -> tuple:
+    """(dim, round, client_id, indices, values) as plain Python values, so
+    two updates compare field by field with == and a mismatch prints."""
+    return u.dim, u.round, u.client_id, u.indices.tolist(), u.values.tolist()

@@ -6,6 +6,7 @@ input_dim 10, separation 1.5, hidden [16] relu, batch 8, T=50, E=5,
 lr=0.01, N=3, test fraction 0.4, seeds 0..9.
 """
 
+import functools
 import math
 import os
 import time
@@ -20,9 +21,8 @@ from fedsparse.federation import (ClientState, ServerState, build_dataset,
                                   run_experiment, run_round)
 from fedsparse.model import ModelSpec, backward, init_params
 from fedsparse.partition import _sample_proportions
-from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, SparsityPolicy, decode,
-                                encode, sparsify)
-from oracles import DirichletParams, dirichlet_log_pdf, finite_diff_grad
+from fedsparse.sparsify import HEADER_BYTES, SparseUpdate, SparsityPolicy, encode, sparsify
+from oracles import DirichletParams, decode, dirichlet_log_pdf, finite_diff_grad, update_fields
 
 
 @contextmanager
@@ -49,7 +49,15 @@ def task_config(seed, alpha, policy):
 
 
 def final_accuracy(seed, alpha, policy):
-    return run_experiment(task_config(seed, alpha, policy)).final_accuracy
+    """Memoized by (seed, alpha, policy): criterion 7's sparse runs and
+    criterion 8's top_k runs are criterion 6's runs, made once. A rerun
+    would be byte-identical, which criterion 10 pins."""
+    return _final_accuracy(seed, alpha, tuple(sorted(policy.items())))
+
+
+@functools.lru_cache(maxsize=None)
+def _final_accuracy(seed, alpha, policy_items):
+    return run_experiment(task_config(seed, alpha, dict(policy_items))).final_accuracy
 
 
 def test_criterion_1_gradient_correctness():
@@ -113,7 +121,8 @@ def test_criterion_2_sparsifier_oracles():
 
 
 def test_criterion_3_codec_identity():
-    """decode(encode(u)) == u on 10^4 updates; length exactly 27 + 8m."""
+    """The oracle decodes encode(u) to u's fields on 10^4 updates; length
+    exactly 27 + 8m."""
     with criterion(3, "codec identity on 10^4 updates, length 27 + 8m"):
         rng = np.random.default_rng(11)
         checked_empty = checked_full = False
@@ -132,7 +141,7 @@ def test_criterion_3_codec_identity():
                              client_id=int(rng.integers(0, 2 ** 16)))
             data = encode(u)
             assert len(data) == 27 + 8 * count
-            assert decode(data) == u
+            assert update_fields(decode(data)) == update_fields(u)
             checked_empty |= count == 0
             checked_full |= count == dim
         assert checked_empty and checked_full

@@ -1,11 +1,13 @@
 """CLI behavior: subcommands, output files, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,10 +15,10 @@ import numpy as np
 import pytest
 
 import fedsparse
-from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, main
+from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from fedsparse.config import parse_config
 from fedsparse.federation import build_dataset, run_experiment
-from fedsparse.sparsify import SparseUpdate, encode
+from fedsparse.data import csv_text, gen_synthetic
 
 
 @pytest.fixture
@@ -192,6 +194,40 @@ class TestRun:
             f"in position 7: invalid start byte\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dataset,code,err", [
+        ("rare_class_csv", EXIT_OK, ""),
+        ("single_sample_synthetic", EXIT_RUNTIME,
+         "fedsparse: error: test_fraction too small: empty test split\n"),
+    ], ids=["rare_class_csv", "single_sample_synthetic"])
+    def test_outcome_is_independent_of_the_warning_filter(self, tmp_path, capsys,
+                                                          dataset, code, err):
+        """A class with one sample stays in train without a warning, so the
+        same input gives the same exit code and stderr under either filter."""
+        if dataset == "rare_class_csv":  # 30 + 30 + 1 rows
+            ds = gen_synthetic(3, 30, 4, 2.0, rng_seed=1)
+            rows = np.concatenate([np.flatnonzero(ds.labels < 2),
+                                   np.flatnonzero(ds.labels == 2)[:1]])
+            data = tmp_path / "data.csv"
+            data.write_text(csv_text(ds.subset(rows)))
+            spec = {"kind": "csv", "path": str(data), "input_dim": 4, "classes": 3,
+                    "normalize": True}
+        else:  # every class is a single sample, so the test split is empty
+            spec = {"kind": "synthetic", "classes": 3, "per_class": 1, "input_dim": 4}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3, "dataset": spec, "rounds": 2,
+                                    "batch_size": 8, "policy": {"kind": "top_k", "rate": 0.3},
+                                    "output_dir": str(tmp_path / "out")}))
+        outcomes = []
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                outcomes.append((main(["run", str(path), "--quiet"]),
+                                 capsys.readouterr().err))
+        assert outcomes == [(code, err)] * 2
+        if code == EXIT_OK:
+            for name in ("metrics.csv", "summary.json", "partitions.csv"):
+                assert (tmp_path / "out" / name).is_file()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1}))
@@ -203,31 +239,17 @@ class TestRun:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
-class TestDumpUpdate:
-    def test_round_trips_through_json(self, tmp_path, capsys):
-        u = SparseUpdate(40, [3, 17, 21], [0.5, -1.25, 2.0], round=6, client_id=2)
-        path = tmp_path / "update.fsu"
-        path.write_bytes(encode(u))
-        assert main(["dump-update", str(path)]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["dim"] == 40 and doc["round"] == 6 and doc["client_id"] == 2
-        assert doc["count"] == 3
-        rebuilt = SparseUpdate(doc["dim"],
-                               [i for i, _ in doc["entries"]],
-                               [v for _, v in doc["entries"]],
-                               round=doc["round"], client_id=doc["client_id"])
-        assert encode(rebuilt) == path.read_bytes()
+class TestSurface:
+    def test_subcommands_are_run_sweep_and_gen_data(self):
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == ["gen-data", "run", "sweep"]
 
-    def test_truncated_file_is_runtime_error(self, tmp_path, capsys):
-        u = SparseUpdate(10, [1, 2], [1.0, 2.0])
-        path = tmp_path / "trunc.fsu"
-        path.write_bytes(encode(u)[:-3])
-        assert main(["dump-update", str(path)]) == EXIT_RUNTIME
+    def test_dump_update_is_a_usage_error(self, tmp_path, capsys):
+        """The program writes no FSU1 file, so it has no reader for one."""
+        assert main(["dump-update", str(tmp_path / "update.fsu")]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "expected" in err and "got" in err
-
-    def test_missing_file(self, tmp_path):
-        assert main(["dump-update", str(tmp_path / "none.fsu")]) == EXIT_RUNTIME
+        assert "invalid choice" in err and "dump-update" in err
 
 
 class TestGenData:

@@ -18,7 +18,8 @@ from fedsparse.model import (ModelSpec, backward, group_losses, init_params, par
                              unpack_params)
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
-from fedsparse.sparsify import SparsityPolicy, decode, encode, encoded_size, retained_count
+from fedsparse.sparsify import SparsityPolicy, encode, encoded_size, retained_count
+from oracles import decode
 
 
 def make_setup(n=30, input_dim=4, classes=3, seed=0):
