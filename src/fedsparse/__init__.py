@@ -11,7 +11,7 @@ from .data import Dataset, csv_text, gen_synthetic, load_csv, normalize, train_t
 from .federation import (ClientState, ClientUpdate, RoundMetrics, ServerState,
                          TrainingDiverged, aggregate, client_local_train, global_loss,
                          run_experiment, run_round)
-from .model import ModelSpec, backward, evaluate, init_params, param_count
+from .model import ModelSpec, evaluate, init_params, param_count
 from .partition import Partition, partition_dataset
 # The `sparsify` function is not re-exported: it would hide the submodule
 # of the same name (`from fedsparse import sparsify` is the module).

@@ -68,7 +68,8 @@ class SyntheticDataConfig:
 
     def __post_init__(self):
         _check_task(self.classes, self.input_dim)
-        _require(self.per_class >= 1, "per_class", "must be >= 1")
+        # one sample per class stays in train, so the test split would be empty
+        _require(self.per_class >= 2, "per_class", "must be >= 2")
         _require(math.isfinite(self.separation), "separation", "must be finite")
         _require(self.separation >= 0, "separation", "must be >= 0")
 

@@ -138,6 +138,10 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     local_gradient: each batch gradient is sparsified first and only the
     retained coordinates are stepped; the dense local model is uploaded.
 
+    The dataset is checked against the model once per call, over the
+    partition's rows; each batch then runs the unchecked model.backward
+    kernel into one gradient buffer, which no upload shares.
+
     Divergence has one exit at both sites: a non-finite gradient (checked
     before sparsify on local_gradient) or non-finite parameters after a
     step raise TrainingDiverged naming client, round, epoch and batch.
@@ -149,9 +153,20 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     n = idx.shape[0]
     if n == 0:
         raise ValueError(f"client {client_id} has an empty partition")
+    if (dataset.input_dim, dataset.class_count) != (model_spec.input_dim,
+                                                    model_spec.class_count):
+        raise ValueError(f"dataset has input_dim {dataset.input_dim} and "
+                         f"{dataset.class_count} classes, model expects input_dim "
+                         f"{model_spec.input_dim} and {model_spec.class_count} classes")
+    labels = model_ops._check_labels(dataset.labels[idx], model_spec.class_count, n)
+    one_hot = np.eye(model_spec.class_count)
     rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client_id, round_index])
     policy_key = [cfg.seed, _POLICY_TAG, client_id, round_index]
     w = np.array(global_params, dtype=np.float64, copy=True)
+    # Every step updates w in place, so these views stay current; backward
+    # overwrites grad whole on every batch.
+    layers = model_ops.unpack_params(model_spec, w)
+    grad = np.empty_like(w)
     delta = np.zeros_like(w) if cfg.sparsify_site == "uploaded_delta" else None
 
     def diverged(what, epoch, batch_no):
@@ -160,13 +175,13 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.local_epochs):
-            order = idx[rng.permutation(n)]
-            inputs = dataset.inputs[order]
-            labels = dataset.labels[order]
+            perm = rng.permutation(n)
+            inputs = dataset.inputs[idx[perm]]
+            targets = one_hot[labels[perm]]
             for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
                 stop = start + cfg.batch_size
-                grad = model_ops.backward(model_spec, w, inputs[start:stop],
-                                          labels[start:stop])
+                model_ops.backward(model_spec, layers, inputs[start:stop],
+                                   targets[start:stop], grad)
                 if cfg.sparsify_site == "local_gradient":
                     if not np.isfinite(grad).all():
                         raise diverged("gradient", epoch, batch_no)

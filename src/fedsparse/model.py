@@ -189,33 +189,34 @@ def loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, labels: np.nda
     return group_losses(spec, params, inputs, labels, [np.arange(inputs.shape[0])])[0]
 
 
-def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-             labels: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean cross-entropy w.r.t. the flat parameter vector."""
-    inputs = _check_inputs(spec, inputs)
-    if inputs.shape[0] == 0:
-        raise ValueError("backward over an empty batch")
-    labels = _check_labels(labels, spec.class_count, inputs.shape[0])
-    layers = unpack_params(spec, params)
-    acts = _activations(spec, layers, inputs)
-    n = inputs.shape[0]
+def backward(spec: ModelSpec, layers, inputs: np.ndarray, targets: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean cross-entropy w.r.t. the flat parameter
+    vector, written into `out` (length param_count(spec)) and returned.
 
-    # the softmax gradient is formed in the logits buffer, which no one else holds
+    A per-batch kernel with no checks: `layers` are the unpack_params views,
+    `inputs` a non-empty float64 (n, input_dim) matrix and `targets` its
+    one-hot (n, class_count) label rows. Only `out` is written.
+    """
+    acts = _activations(spec, layers, inputs)
+
+    # the softmax gradient is formed in the logits buffer, which no one else
+    # holds; subtracting the one-hot rows gives the bits of subtracting 1.0
+    # at each label, since x - 0.0 is x
     delta = acts[-1]
     delta -= delta.max(axis=1, keepdims=True)
     np.exp(delta, out=delta)
     delta /= delta.sum(axis=1, keepdims=True)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    delta -= targets
+    delta /= inputs.shape[0]
 
     # Each layer's gradient is written in place into its slice of the flat
     # vector; np.dot issues the same BLAS call as @, with less per-call work.
-    slices, total = _layout(spec.layer_sizes)
-    grad = np.empty(total)
+    slices = _layout(spec.layer_sizes)[0]
     for i in range(len(layers) - 1, -1, -1):
         w_start, b_start, end, n_in, n_out = slices[i]
-        np.dot(acts[i].T, delta, out=grad[w_start:b_start].reshape(n_in, n_out))
-        np.add.reduce(delta, axis=0, out=grad[b_start:end])
+        np.dot(acts[i].T, delta, out=out[w_start:b_start].reshape(n_in, n_out))
+        np.add.reduce(delta, axis=0, out=out[b_start:end])
         if i > 0:
             delta = np.dot(delta, layers[i][0].T)
             # each derivative is read off the activation h: relu's h > 0.0 is
@@ -223,7 +224,7 @@ def backward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
             # tanh's is 1 - h*h
             h = acts[i]
             delta *= h > 0.0 if spec.activation == "relu" else 1.0 - h * h
-    return grad
+    return out
 
 
 def evaluate(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

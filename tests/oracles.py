@@ -2,7 +2,10 @@
 
 forward is not independent: it returns the logits of the activation pass
 that model.loss, model.evaluate and model.backward share, so the tests can
-check that pass directly. finite_diff_grad checks model.backward;
+check that pass directly. Nor is gradient: it is model.backward behind the
+input, label and parameter-length checks that the client loop runs once per
+call, so a test can take one batch's gradient from a flat vector and
+labels. finite_diff_grad checks model.backward;
 log_gamma, DirichletParams, sample_dirichlet and dirichlet_log_pdf check
 the Dirichlet sampler that partition.partition_dataset draws client
 proportions from. Log-Gamma uses the 9-coefficient Lanczos approximation
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedsparse.model import ModelSpec, _activations, _check_inputs, loss, unpack_params
+from fedsparse.model import (ModelSpec, _activations, _check_inputs, _check_labels, backward,
+                             loss, param_count, unpack_params)
 from fedsparse.partition import _sample_proportions
 from fedsparse.sparsify import SparseUpdate
 
@@ -30,6 +34,18 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
     input and parameter-length checks."""
     inputs = _check_inputs(spec, inputs)
     return _activations(spec, unpack_params(spec, params), inputs)[-1]
+
+
+def gradient(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
+             labels: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean cross-entropy w.r.t. the flat parameter
+    vector, in a fresh array: model.backward on checked inputs and labels."""
+    inputs = _check_inputs(spec, inputs)
+    if inputs.shape[0] == 0:
+        raise ValueError("backward over an empty batch")
+    labels = _check_labels(labels, spec.class_count, inputs.shape[0])
+    return backward(spec, unpack_params(spec, params), inputs,
+                    np.eye(spec.class_count)[labels], np.empty(param_count(spec)))
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

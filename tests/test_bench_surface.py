@@ -1,8 +1,11 @@
-"""The benchmark harness reaches into the package by name; every name it
-wraps must still exist, or only its traced run would find out."""
+"""The benchmark harness reaches into the package by name and reads some
+arguments by position; every name it wraps must still exist and every
+position it reads must still hold its argument, or only its traced run
+would find out."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -29,3 +32,19 @@ def test_traced_and_probed_names_resolve(harness):
     for module, attr in pairs:
         target = getattr(importlib.import_module(f"fedsparse.{module}"), attr, None)
         assert callable(target), f"fedsparse.{module}.{attr}"
+
+
+def test_positional_contract_of_the_counters():
+    """The harness counters read arguments by position: backward's third is
+    the batch inputs (rows), client_local_train's first and third the client
+    and the config, run_round's first, fifth and sixth the server and the
+    training and test sets."""
+    from fedsparse import federation, model
+
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(model.backward)[2] == "inputs"
+    assert names(federation.client_local_train)[0:3:2] == ["client", "cfg"]
+    assert [names(federation.run_round)[i] for i in (0, 4, 5)] == [
+        "server", "train_ds", "test_ds"]

@@ -196,13 +196,15 @@ class TestRun:
 
     @pytest.mark.parametrize("dataset,code,err", [
         ("rare_class_csv", EXIT_OK, ""),
-        ("single_sample_synthetic", EXIT_RUNTIME,
-         "fedsparse: error: test_fraction too small: empty test split\n"),
+        ("single_sample_synthetic", EXIT_USAGE,
+         "fedsparse: config error: dataset.per_class: must be >= 2\n"),
     ], ids=["rare_class_csv", "single_sample_synthetic"])
     def test_outcome_is_independent_of_the_warning_filter(self, tmp_path, capsys,
                                                           dataset, code, err):
         """A class with one sample stays in train without a warning, so the
-        same input gives the same exit code and stderr under either filter."""
+        same input gives the same exit code and stderr under either filter.
+        A synthetic set of one sample per class is a config error: its test
+        split would be empty whatever the test_fraction."""
         if dataset == "rare_class_csv":  # 30 + 30 + 1 rows
             ds = gen_synthetic(3, 30, 4, 2.0, rng_seed=1)
             rows = np.concatenate([np.flatnonzero(ds.labels < 2),
@@ -211,7 +213,7 @@ class TestRun:
             data.write_text(csv_text(ds.subset(rows)))
             spec = {"kind": "csv", "path": str(data), "input_dim": 4, "classes": 3,
                     "normalize": True}
-        else:  # every class is a single sample, so the test split is empty
+        else:  # every class a single sample
             spec = {"kind": "synthetic", "classes": 3, "per_class": 1, "input_dim": 4}
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 3, "dataset": spec, "rounds": 2,
@@ -274,6 +276,7 @@ class TestGenData:
         ({"input_dim": True}, "spec.input_dim: must be an integer"),
         ({"seed": -1}, "spec.seed: must be >= 0"),
         ({"separation": float("inf")}, "spec.separation: must be finite"),
+        ({"per_class": 1}, "spec.per_class: must be >= 2"),
     ])
     def test_ill_typed_value_named(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"

@@ -7,7 +7,8 @@ import pytest
 
 from fedsparse.data import (Dataset, csv_text, gen_synthetic, load_csv, normalize,
                             train_test_split)
-from fedsparse.model import ModelSpec, backward, evaluate, init_params
+from fedsparse.model import ModelSpec, evaluate, init_params
+from oracles import gradient
 
 
 def train_linear(ds, epochs=30, lr=0.1, seed=0):
@@ -19,7 +20,7 @@ def train_linear(ds, epochs=30, lr=0.1, seed=0):
         order = rng.permutation(len(ds))
         for start in range(0, len(ds), 32):
             batch = order[start:start + 32]
-            params = params - lr * backward(spec, params, ds.inputs[batch],
+            params = params - lr * gradient(spec, params, ds.inputs[batch],
                                             ds.labels[batch])
     return spec, params
 

@@ -19,7 +19,7 @@ from fedsparse.model import (ModelSpec, backward, group_losses, init_params, par
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
 from fedsparse.sparsify import SparsityPolicy, encode, encoded_size, retained_count
-from oracles import decode
+from oracles import decode, gradient
 
 
 def make_setup(n=30, input_dim=4, classes=3, seed=0):
@@ -63,7 +63,7 @@ class TestClientLocalTrain:
         update = client_local_train(client, w0, cfg, spec, ds)
         # replay the single batch from the training stream (seed, 2, client, round)
         order = np.random.default_rng([cfg.seed, 2, 0, 0]).permutation(6)
-        g = backward(spec, w0, ds.inputs[order], ds.labels[order])
+        g = gradient(spec, w0, ds.inputs[order], ds.labels[order])
         expected = -(cfg.learning_rate * g)
         [sent] = wire
         assert np.array_equal(sent.values, expected)
@@ -86,7 +86,7 @@ class TestClientLocalTrain:
             order = rng.permutation(24)
             for start in range(0, 24, 8):
                 batch = order[start:start + 8]
-                g = backward(spec, w, ds.inputs[batch], ds.labels[batch])
+                g = gradient(spec, w, ds.inputs[batch], ds.labels[batch])
                 keep = np.sort(np.argsort(-np.abs(g), kind="stable")[:m])
                 dense = np.zeros(d)
                 dense[keep] = g[keep]
@@ -160,6 +160,66 @@ class TestClientLocalTrain:
         cfg = cfg_with(SparsityPolicy("dense"))
         with pytest.raises(ValueError, match="empty partition"):
             client_local_train(client, init_params(spec), cfg, spec, ds)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((5, 6, 3), "dataset has input_dim 4 and 3 classes, model expects "
+                    "input_dim 5 and 3 classes"),
+        ((4, 6, 2), "dataset has input_dim 4 and 3 classes, model expects "
+                    "input_dim 4 and 2 classes"),
+    ], ids=["input_dim", "class_count"])
+    def test_dataset_that_does_not_fit_the_model_rejected(self, sizes, message):
+        """Checked once per call, before any batch: the error names both sides."""
+        ds, _ = make_setup()
+        spec = ModelSpec(sizes)
+        cfg = cfg_with(SparsityPolicy("dense"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
+
+    @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
+    def test_back_to_back_clients_share_no_buffer(self, site):
+        """Two clients of one round, trained one after the other on partitions
+        of 13 and 17 rows in batches of 4: the second call leaves the first
+        upload's bits alone, and each upload is a plain loop over the oracle
+        gradient with a top-k (stable argsort) selection."""
+        ds, spec = make_setup(n=30, seed=5)
+        cfg = cfg_with(SparsityPolicy("top_k", rate=0.3), site=site, epochs=2, batch=4)
+        clients = [ClientState(Partition(0, np.arange(13))),
+                   ClientState(Partition(1, np.arange(13, 30)))]
+        w0 = init_params(spec)
+        d = w0.shape[0]
+        m = max(1, math.ceil(0.3 * d - 1e-9))
+
+        def top_k(v):
+            return np.sort(np.argsort(-np.abs(v), kind="stable")[:m])
+
+        first = client_local_train(clients[0], w0, cfg, spec, ds, round_index=3)
+        kept = (first.indices.tobytes(), first.values.tobytes())
+        second = client_local_train(clients[1], w0, cfg, spec, ds, round_index=3)
+        assert (first.indices.tobytes(), first.values.tobytes()) == kept
+
+        for client, update in zip(clients, (first, second)):
+            idx = client.partition.sample_indices
+            rng = np.random.default_rng([cfg.seed, 2, client.partition.client_id, 3])
+            w = w0.copy()
+            delta = np.zeros(d)
+            for _ in range(2):
+                order = idx[rng.permutation(idx.shape[0])]
+                for start in range(0, idx.shape[0], 4):
+                    b = order[start:start + 4]
+                    g = gradient(spec, w, ds.inputs[b], ds.labels[b])
+                    if site == "local_gradient":
+                        keep = top_k(g)
+                        w[keep] = w[keep] - cfg.learning_rate * g[keep]
+                    else:
+                        step = cfg.learning_rate * g
+                        w = w - step
+                        delta = delta - step
+            if site == "local_gradient":
+                assert np.array_equal(update.indices, np.arange(d))
+                assert np.array_equal(update.values, w)
+            else:
+                assert np.array_equal(update.indices, top_k(delta))
+                assert np.array_equal(update.values, w[update.indices])
 
 
 def params_update(client_id, count, params, indices=None):
@@ -441,7 +501,7 @@ class TestRunRound:
                 order = rng.permutation(idx.shape[0])
                 for start in range(0, idx.shape[0], 8):
                     b = idx[order[start:start + 8]]
-                    w = w - cfg.learning_rate * backward(spec, w, ds.inputs[b],
+                    w = w - cfg.learning_rate * gradient(spec, w, ds.inputs[b],
                                                          ds.labels[b])
             locals_.append(w)
             counts.append(idx.shape[0])
@@ -527,7 +587,7 @@ class TestRunExperiment:
             order = rng.permutation(len(train))
             for start in range(0, len(train), config.batch_size):
                 b = order[start:start + config.batch_size]
-                w = w - config.learning_rate * backward(spec, w, train.inputs[b],
+                w = w - config.learning_rate * gradient(spec, w, train.inputs[b],
                                                         train.labels[b])
         assert np.array_equal(result.global_params, w)
 
@@ -536,9 +596,9 @@ class TestRunExperiment:
         policy at either site hands backward the rows top-k does."""
         batches = []
 
-        def record(spec, params, inputs, labels):
-            batches.append((inputs.copy(), labels.copy()))
-            return backward(spec, params, inputs, labels)
+        def record(spec, layers, inputs, targets, out):
+            batches.append((inputs.copy(), targets.copy()))
+            return backward(spec, layers, inputs, targets, out)
 
         monkeypatch.setattr(federation.model_ops, "backward", record)
 

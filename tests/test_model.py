@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedsparse.model import (ModelSpec, _per_sample_losses, _row_max, backward,
                              evaluate, group_losses, init_params, loss,
                              param_count, unpack_params)
-from oracles import finite_diff_grad, forward
+from oracles import finite_diff_grad, forward, gradient
 
 
 def rel_err(a, b, guard=1e-3):
@@ -209,7 +209,7 @@ class TestBackward:
         p = np.exp(z - z.max())
         p /= p.sum()
         expected = np.array([(p[0] - 1) * 1.3, p[1] * 1.3, p[0] - 1, p[1]])
-        got = backward(spec, params, x, y)
+        got = gradient(spec, params, x, y)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
         fd = finite_diff_grad(spec, params, x, y)
         assert rel_err(got, fd).max() < 1e-6
@@ -219,7 +219,7 @@ class TestBackward:
         spec = ModelSpec((4, 8, 3), activation=activation, seed=13)
         params = init_params(spec)
         X, y = random_batch(spec, 5, seed=4)
-        grad = backward(spec, params, X, y)
+        grad = gradient(spec, params, X, y)
         fd = finite_diff_grad(spec, params, X, y, step=1e-6)
         assert rel_err(grad, fd).max() < 1e-4
 
@@ -227,8 +227,8 @@ class TestBackward:
         spec = ModelSpec((3, 5, 2), seed=8)
         params = init_params(spec)
         X, y = random_batch(spec, 4, seed=6)
-        g1 = backward(spec, params, X, y)
-        g2 = backward(spec, params, np.vstack([X, X]), np.concatenate([y, y]))
+        g1 = gradient(spec, params, X, y)
+        g2 = gradient(spec, params, np.vstack([X, X]), np.concatenate([y, y]))
         assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
     def test_permutation_invariance(self):
@@ -239,8 +239,8 @@ class TestBackward:
         l1 = loss(spec, params, X, y)
         l2 = loss(spec, params, X[perm], y[perm])
         assert l2 == pytest.approx(l1, rel=1e-12)
-        g1 = backward(spec, params, X, y)
-        g2 = backward(spec, params, X[perm], y[perm])
+        g1 = gradient(spec, params, X, y)
+        g2 = gradient(spec, params, X[perm], y[perm])
         assert rel_err(g1, g2, guard=1e-9).max() < 1e-12
 
     def test_loss_bit_identical_on_fixed_order(self):
@@ -268,21 +268,31 @@ class TestBackward:
         assert logit_loss(logits, labels) == sequential / n
 
     @given(st.sampled_from(["relu", "tanh"]),
-           st.lists(st.integers(1, 9), min_size=1, max_size=3),
-           st.integers(1, 6), st.integers(2, 5), st.integers(1, 33),
+           st.lists(st.integers(1, 9), min_size=0, max_size=3),
+           st.integers(1, 6), st.integers(2, 5), st.integers(1, 16),
+           st.integers(1, 2), st.sampled_from([0, 1, 3]),
            st.sampled_from([0.0, 0.1]), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_bit_identical_to_reference_backward(self, activation, hidden, d, c, n,
-                                                 noise, seed):
+    def test_bit_identical_to_reference_backward(self, activation, hidden, d, c, batch,
+                                                 full, tail, noise, seed):
+        """The kernel as the client loop calls it: over the unpacked layers
+        and one-hot rows of a partition of full batches and a tail (of one
+        row, or none), writing every batch into one reused buffer."""
         spec = ModelSpec((d, *hidden, c), activation=activation, seed=seed)
         rng = np.random.default_rng(seed)
         params = init_params(spec) + noise * rng.standard_normal(param_count(spec))
+        n = full * batch + tail
         X, y = random_batch(spec, n, seed)
         # zero rows with the zero initial biases give pre-activations of
         # exactly 0.0, where the ReLU mask's strict inequality matters
         X[rng.random(n) < 0.3] = 0.0
-        assert np.array_equal(backward(spec, params, X, y),
-                              reference_backward(spec, params, X, y))
+        layers = unpack_params(spec, params)
+        targets = np.eye(c)[y]
+        out = np.full(param_count(spec), np.nan)
+        for start in range(0, n, batch):
+            rows = slice(start, start + batch)
+            assert backward(spec, layers, X[rows], targets[rows], out) is out
+            assert np.array_equal(out, reference_backward(spec, params, X[rows], y[rows]))
 
     # a relu case is named by its row count alone, a tanh case "<n>-tanh"
     @pytest.mark.parametrize("n,activation", [
@@ -295,12 +305,14 @@ class TestBackward:
         params = init_params(spec)
         X, y = random_batch(spec, n, seed=n)
         X[::3] = 0.0  # zero rows: pre-activations of exactly 0.0
-        assert np.array_equal(backward(spec, params, X, y),
-                              reference_backward(spec, params, X, y))
+        out = np.full(param_count(spec), np.nan)
+        backward(spec, unpack_params(spec, params), X, np.eye(10)[y], out)
+        assert np.array_equal(out, reference_backward(spec, params, X, y))
 
 
 class TestCallerDataUntouched:
-    """The activation pass and backward write into their own buffers only."""
+    """The activation pass writes into its own buffers only, and backward
+    only into `out`."""
 
     @pytest.mark.parametrize("n", [6, 1])
     @pytest.mark.parametrize("sizes,activation", [
@@ -311,13 +323,16 @@ class TestCallerDataUntouched:
         spec = ModelSpec(sizes, activation=activation, seed=4)
         params = init_params(spec) + 0.1
         X, y = random_batch(spec, n, seed=n)
-        before = [params.copy(), X.copy(), y.copy()]
-        backward(spec, params, X, y)
+        targets = np.eye(spec.class_count)[y]
+        out = np.full(param_count(spec), np.nan)
+        before = [params.copy(), X.copy(), y.copy(), targets.copy()]
+        backward(spec, unpack_params(spec, params), X, targets, out)
         loss(spec, params, X, y)
         group_losses(spec, params, X, y, [[0], np.arange(1, n)] if n > 1 else [[0]])
         evaluate(spec, params, X, y)
-        for old, new in zip(before, [params, X, y]):
+        for old, new in zip(before, [params, X, y, targets]):
             assert old.tobytes() == new.tobytes()
+        assert not np.isnan(out).any()
 
 
 class TestGroupLosses:
@@ -386,7 +401,7 @@ class TestFiniteDiff:
         params = np.array([0.9, -0.2, 0.05, -0.3])
         x = np.array([[0.8]])
         y = np.array([1])
-        exact = backward(spec, params, x, y)
+        exact = gradient(spec, params, x, y)
         err = []
         for step in (1e-2, 5e-3):
             fd = finite_diff_grad(spec, params, x, y, step=step)
@@ -399,7 +414,7 @@ class TestFiniteDiff:
             spec = ModelSpec((3, 4, 2), seed=seed)
             params = init_params(spec)
             X, y = random_batch(spec, 3, seed=seed + 20)
-            assert rel_err(backward(spec, params, X, y),
+            assert rel_err(gradient(spec, params, X, y),
                            finite_diff_grad(spec, params, X, y)).max() < 1e-4
 
 
@@ -452,6 +467,6 @@ def test_gradient_check_matrix():
         spec = ModelSpec(sizes, activation=act, seed=100 + i)
         params = init_params(spec)
         X, y = random_batch(spec, 4, seed=200 + i)
-        worst = rel_err(backward(spec, params, X, y),
+        worst = rel_err(gradient(spec, params, X, y),
                         finite_diff_grad(spec, params, X, y, step=1e-6)).max()
         assert worst < 1e-4, f"{sizes}/{act}: {worst}"
