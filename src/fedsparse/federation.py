@@ -138,9 +138,10 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     local_gradient: each batch gradient is sparsified first and only the
     retained coordinates are stepped; the dense local model is uploaded.
 
-    The dataset is checked against the model once per call, over the
-    partition's rows; each batch then runs the unchecked model.backward
-    kernel into one gradient buffer, which no upload shares.
+    The dataset's input width and class count are checked against the
+    model once per call (a Dataset's labels already lie in range); each
+    batch then runs the unchecked model.backward kernel into one gradient
+    buffer, which no upload shares.
 
     Divergence has one exit at both sites: a non-finite gradient (checked
     before sparsify on local_gradient) or non-finite parameters after a
@@ -158,7 +159,7 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
         raise ValueError(f"dataset has input_dim {dataset.input_dim} and "
                          f"{dataset.class_count} classes, model expects input_dim "
                          f"{model_spec.input_dim} and {model_spec.class_count} classes")
-    labels = model_ops._check_labels(dataset.labels[idx], model_spec.class_count, n)
+    labels = dataset.labels[idx]
     one_hot = np.eye(model_spec.class_count)
     rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client_id, round_index])
     policy_key = [cfg.seed, _POLICY_TAG, client_id, round_index]

@@ -269,15 +269,17 @@ class TestBackward:
 
     @given(st.sampled_from(["relu", "tanh"]),
            st.lists(st.integers(1, 9), min_size=0, max_size=3),
-           st.integers(1, 6), st.integers(2, 5), st.integers(1, 16),
+           st.integers(1, 6), st.integers(2, 5), st.integers(1, 33),
            st.integers(1, 2), st.sampled_from([0, 1, 3]),
            st.sampled_from([0.0, 0.1]), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_reference_backward(self, activation, hidden, d, c, batch,
                                                  full, tail, noise, seed):
         """The kernel as the client loop calls it: over the unpacked layers
-        and one-hot rows of a partition of full batches and a tail (of one
-        row, or none), writing every batch into one reused buffer."""
+        and one-hot rows of a partition of full batches and a tail of 0, 1
+        or 3 rows, writing every batch into one reused buffer. Every call
+        size from 1 to 33 rows is drawn, the default batch size 32 among
+        them."""
         spec = ModelSpec((d, *hidden, c), activation=activation, seed=seed)
         rng = np.random.default_rng(seed)
         params = init_params(spec) + noise * rng.standard_normal(param_count(spec))
