@@ -140,14 +140,18 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
 
     The dataset's input width and class count are checked against the
     model once per call (a Dataset's labels already lie in range); each
-    batch then runs the unchecked model.backward kernel into one gradient
-    buffer, which no upload shares.
+    batch then runs the unchecked model.backward kernel into the layer
+    views of one gradient buffer, which no upload shares.
 
     Divergence has one exit at both sites: a non-finite gradient (checked
     before sparsify on local_gradient) or non-finite parameters after a
     step raise TrainingDiverged naming client, round, epoch and batch.
-    The steps run with numpy's overflow and invalid-value warnings off, so
-    no warning filter turns a diverging step into another error first.
+    The parameters are checked once, after the last step: a non-finite
+    value stays non-finite under a subtracted step. A failing call is
+    replayed from global_params on the same generators, checking after
+    every step, to name the first failing batch. The steps run with
+    numpy's overflow and invalid-value warnings off, so no warning filter
+    turns a diverging step into another error first.
     """
     client_id = client.partition.client_id
     idx = client.partition.sample_indices
@@ -161,46 +165,62 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
                          f"{model_spec.input_dim} and {model_spec.class_count} classes")
     labels = dataset.labels[idx]
     one_hot = np.eye(model_spec.class_count)
-    rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client_id, round_index])
     policy_key = [cfg.seed, _POLICY_TAG, client_id, round_index]
-    w = np.array(global_params, dtype=np.float64, copy=True)
-    # Every step updates w in place, so these views stay current; backward
-    # overwrites grad whole on every batch.
-    layers = model_ops.unpack_params(model_spec, w)
-    grad = np.empty_like(w)
-    delta = np.zeros_like(w) if cfg.sparsify_site == "uploaded_delta" else None
+    local_gradient = cfg.sparsify_site == "local_gradient"
+    policy, lr, batch_size = cfg.policy, cfg.learning_rate, cfg.batch_size
+    # read per call, not at import: the benchmark's tracer rebinds it
+    backward = model_ops.backward
 
     def diverged(what, epoch, batch_no):
         return TrainingDiverged(f"client {client_id}: non-finite {what} in round "
                                 f"{round_index}, epoch {epoch}, batch {batch_no}")
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    def train(checked):
+        """Local SGD from global_params: the local model and the round
+        delta (None on local_gradient). Unchecked, a non-finite gradient
+        returns None; checked, the first failing step raises."""
+        rng = np.random.default_rng([cfg.seed, _CLIENT_TAG, client_id, round_index])
+        w = np.array(global_params, dtype=np.float64, copy=True)
+        # Every step updates w in place, so these views stay current; backward
+        # overwrites grad whole on every batch.
+        layers = model_ops.unpack_params(model_spec, w)
+        grad = np.empty_like(w)
+        grads = model_ops.unpack_params(model_spec, grad)
+        delta = None if local_gradient else np.zeros_like(w)
         for epoch in range(cfg.local_epochs):
             perm = rng.permutation(n)
             inputs = dataset.inputs[idx[perm]]
             targets = one_hot[labels[perm]]
-            for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-                stop = start + cfg.batch_size
-                model_ops.backward(model_spec, layers, inputs[start:stop],
-                                   targets[start:stop], grad)
-                if cfg.sparsify_site == "local_gradient":
+            for batch_no, start in enumerate(range(0, n, batch_size)):
+                stop = start + batch_size
+                backward(model_spec, layers, inputs[start:stop], targets[start:stop], grads)
+                if local_gradient:
                     if not np.isfinite(grad).all():
-                        raise diverged("gradient", epoch, batch_no)
-                    keep = sparsify(grad, cfg.policy, [*policy_key, epoch, batch_no])
+                        if checked:
+                            raise diverged("gradient", epoch, batch_no)
+                        return None
+                    keep = sparsify(grad, policy, [*policy_key, epoch, batch_no])
                     # unretained coordinates would get w - 0.0, the same bits as w
-                    w[keep] -= cfg.learning_rate * grad[keep]
+                    w[keep] -= lr * grad[keep]
                 else:
-                    grad *= cfg.learning_rate
+                    grad *= lr
                     w -= grad
                     delta -= grad
-                if not np.isfinite(w).all():
+                if checked and not np.isfinite(w).all():
                     raise diverged("parameters", epoch, batch_no)
+        return w, delta
 
-    if cfg.sparsify_site == "local_gradient":
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained = train(checked=False)
+        if trained is None or not np.isfinite(trained[0]).all():
+            trained = train(checked=True)
+    w, delta = trained
+
+    if local_gradient:
         keep, values = np.arange(w.shape[0]), w
         uplink_bytes = encoded_size(w.shape[0])
     else:
-        keep = sparsify(delta, cfg.policy, policy_key)
+        keep = sparsify(delta, policy, policy_key)
         values = w[keep]
         uplink_bytes = len(encode(SparseUpdate(w.shape[0], keep, delta[keep],
                                                round=round_index,

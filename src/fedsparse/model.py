@@ -13,7 +13,6 @@ batch, so a fixed sample order gives a bit-identical loss.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,7 +52,6 @@ class ModelSpec:
         return self.layer_sizes[-1]
 
 
-@functools.lru_cache(maxsize=64)
 def _layout(layer_sizes: tuple[int, ...]):
     """Per-layer (weight start, bias start, bias end, n_in, n_out) offsets
     into the flat vector, and the total parameter count."""
@@ -190,13 +188,14 @@ def loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, labels: np.nda
 
 
 def backward(spec: ModelSpec, layers, inputs: np.ndarray, targets: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean cross-entropy w.r.t. the flat parameter
-    vector, written into `out` (length param_count(spec)) and returned.
+             grads) -> None:
+    """Gradient of the batch-mean cross-entropy w.r.t. every layer, written
+    into `grads`, the unpack_params views of one gradient buffer.
 
-    A per-batch kernel with no checks: `layers` are the unpack_params views,
-    `inputs` a non-empty float64 (n, input_dim) matrix and `targets` its
-    one-hot (n, class_count) label rows. Only `out` is written.
+    A per-batch kernel with no checks: `layers` are the unpack_params views
+    of the parameters, `inputs` a non-empty float64 (n, input_dim) matrix
+    and `targets` its one-hot (n, class_count) label rows. Only `grads` is
+    written, every coordinate of it.
     """
     acts = _activations(spec, layers, inputs)
 
@@ -204,19 +203,17 @@ def backward(spec: ModelSpec, layers, inputs: np.ndarray, targets: np.ndarray,
     # holds; subtracting the one-hot rows gives the bits of subtracting 1.0
     # at each label, since x - 0.0 is x
     delta = acts[-1]
-    delta -= delta.max(axis=1, keepdims=True)
+    delta -= np.maximum.reduce(delta, axis=1, keepdims=True)
     np.exp(delta, out=delta)
-    delta /= delta.sum(axis=1, keepdims=True)
+    delta /= np.add.reduce(delta, axis=1, keepdims=True)
     delta -= targets
     delta /= inputs.shape[0]
 
-    # Each layer's gradient is written in place into its slice of the flat
-    # vector; np.dot issues the same BLAS call as @, with less per-call work.
-    slices = _layout(spec.layer_sizes)[0]
+    # np.dot issues the same BLAS call as @, with less per-call work
     for i in range(len(layers) - 1, -1, -1):
-        w_start, b_start, end, n_in, n_out = slices[i]
-        np.dot(acts[i].T, delta, out=out[w_start:b_start].reshape(n_in, n_out))
-        np.add.reduce(delta, axis=0, out=out[b_start:end])
+        grad_w, grad_b = grads[i]
+        np.dot(acts[i].T, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if i > 0:
             delta = np.dot(delta, layers[i][0].T)
             # each derivative is read off the activation h: relu's h > 0.0 is
@@ -224,7 +221,6 @@ def backward(spec: ModelSpec, layers, inputs: np.ndarray, targets: np.ndarray,
             # tanh's is 1 - h*h
             h = acts[i]
             delta *= h > 0.0 if spec.activation == "relu" else 1.0 - h * h
-    return out
 
 
 def evaluate(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

@@ -5,7 +5,9 @@ that model.loss, model.evaluate and model.backward share, so the tests can
 check that pass directly. Nor is gradient: it is model.backward behind the
 input, label and parameter-length checks that the client loop runs once per
 call, so a test can take one batch's gradient from a flat vector and
-labels. finite_diff_grad checks model.backward;
+labels. local_train is federation.client_local_train's upload as a plain
+loop over gradient and sparsify, checked after every step, for the replay
+that names a diverging batch. finite_diff_grad checks model.backward;
 log_gamma, DirichletParams, sample_dirichlet and dirichlet_log_pdf check
 the Dirichlet sampler that partition.partition_dataset draws client
 proportions from. Log-Gamma uses the 9-coefficient Lanczos approximation
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedsparse.federation import TrainingDiverged
 from fedsparse.model import (ModelSpec, _activations, _check_inputs, _check_labels, backward,
                              loss, param_count, unpack_params)
-from fedsparse.partition import _sample_proportions
-from fedsparse.sparsify import SparseUpdate
+from fedsparse.partition import Partition, _sample_proportions
+from fedsparse.sparsify import SparseUpdate, sparsify
 
 
 def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -44,8 +47,52 @@ def gradient(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     if inputs.shape[0] == 0:
         raise ValueError("backward over an empty batch")
     labels = _check_labels(labels, spec.class_count, inputs.shape[0])
-    return backward(spec, unpack_params(spec, params), inputs,
-                    np.eye(spec.class_count)[labels], np.empty(param_count(spec)))
+    grad = np.empty(param_count(spec))
+    backward(spec, unpack_params(spec, params), inputs, np.eye(spec.class_count)[labels],
+             unpack_params(spec, grad))
+    return grad
+
+
+def local_train(partition: Partition, global_params: np.ndarray, cfg, spec: ModelSpec,
+                dataset, round_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (indices, values) upload of federation.client_local_train, as a
+    plain SGD loop over gradient and sparsify that checks the gradient
+    (local_gradient) and the parameters after every step and raises
+    TrainingDiverged, with the package's message, at the first failure.
+    Batch order and policy draw from the streams the federation module
+    documents: tag 2, and tag 3 plus (epoch, batch) on local_gradient."""
+    client_id, idx = partition.client_id, partition.sample_indices
+    local_gradient = cfg.sparsify_site == "local_gradient"
+    rng = np.random.default_rng([cfg.seed, 2, client_id, round_index])
+    key = [cfg.seed, 3, client_id, round_index]
+    w = np.array(global_params, dtype=np.float64)
+    delta = np.zeros_like(w)
+
+    def diverged(what, epoch, batch_no):
+        return TrainingDiverged(f"client {client_id}: non-finite {what} in round "
+                                f"{round_index}, epoch {epoch}, batch {batch_no}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.local_epochs):
+            order = idx[rng.permutation(len(idx))]
+            for batch_no, start in enumerate(range(0, len(idx), cfg.batch_size)):
+                rows = order[start:start + cfg.batch_size]
+                g = gradient(spec, w, dataset.inputs[rows], dataset.labels[rows])
+                if local_gradient:
+                    if not np.isfinite(g).all():
+                        raise diverged("gradient", epoch, batch_no)
+                    keep = sparsify(g, cfg.policy, [*key, epoch, batch_no])
+                    w[keep] = w[keep] - cfg.learning_rate * g[keep]
+                else:
+                    step = cfg.learning_rate * g
+                    w = w - step
+                    delta = delta - step
+                if not np.isfinite(w).all():
+                    raise diverged("parameters", epoch, batch_no)
+        if local_gradient:
+            return np.arange(w.shape[0]), w
+        keep = sparsify(delta, cfg.policy, key)
+        return keep, w[keep]
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import stat
@@ -104,6 +105,28 @@ class TestRun:
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert re.fullmatch(r"fedsparse: error: client \d+: non-finite (gradient|parameters) "
                             r"in round \d+, epoch \d+, batch \d+\n", proc.stderr)
+
+    def test_finite_but_huge_model_ends_normally(self, tmp_path):
+        """Only non-finite values stop a run: one step at lr 1e150 leaves a
+        finite model near the float64 limit, which the end-of-call check
+        passes and the round evaluates to a huge but finite loss."""
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "seed": 0, "dataset": {"kind": "synthetic", "classes": 3, "per_class": 20,
+                                   "input_dim": 4},
+            "policy": {"kind": "top_k", "rate": 0.3}, "rounds": 1, "local_epochs": 1,
+            "batch_size": 64, "learning_rate": 1e150, "output_dir": str(out)}))
+        src = os.path.dirname(os.path.dirname(fedsparse.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fedsparse.cli import main; "
+             "sys.exit(main())", "run", str(path), "--quiet"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        [row] = (out / "metrics.csv").read_text().splitlines()[1:]
+        loss = float(row.split(",")[1])
+        assert math.isfinite(loss) and loss > 1e290
 
     def test_rerun_is_byte_identical(self, smoke_config):
         path, doc = smoke_config

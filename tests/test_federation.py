@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsparse import federation
@@ -19,7 +20,7 @@ from fedsparse.model import (ModelSpec, backward, group_losses, init_params, par
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
 from fedsparse.sparsify import SparsityPolicy, encode, encoded_size, retained_count
-from oracles import decode, gradient
+from oracles import decode, gradient, local_train
 
 
 def make_setup(n=30, input_dim=4, classes=3, seed=0):
@@ -145,6 +146,46 @@ class TestClientLocalTrain:
         with pytest.raises(TrainingDiverged,
                            match=r"^client 0: non-finite \w+ in round 0, epoch 0, batch \d+$"):
             client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
+
+    @given(st.sampled_from(["uploaded_delta", "local_gradient"]),
+           st.sampled_from([SparsityPolicy("top_k", rate=0.2),
+                            SparsityPolicy("threshold", tau=1e-3),
+                            SparsityPolicy("random", rate=0.3), SparsityPolicy("dense")]),
+           st.floats(2.0, 300.0), st.integers(1, 3), st.integers(1, 16),
+           st.integers(0, 3), st.integers(0, 2 ** 16))
+    # a local_gradient step whose finite gradient overflows the parameters
+    @example("local_gradient", SparsityPolicy("top_k", rate=0.2), 260.6, 2, 5, 1, 5819)
+    @settings(max_examples=200, deadline=None)
+    def test_replay_names_the_step_a_checked_loop_stops_at(self, site, policy, lr_exponent,
+                                                            epochs, batch, round_index,
+                                                            seed):
+        """The parameters are checked once per call and a failure is replayed:
+        under either warning filter the call raises the message of a loop
+        that checks after every step, at the same epoch and batch, or, when
+        nothing diverges, uploads the same bits."""
+        ds, spec = make_setup(n=15, seed=seed % 7)
+        cfg = cfg_with(policy, site=site, lr=10.0 ** lr_exponent, epochs=epochs,
+                       batch=batch, seed=seed)
+        partition = Partition(2, np.arange(len(ds)))
+        w0 = init_params(spec)
+
+        def outcome(reference):
+            try:
+                if reference:
+                    indices, values = local_train(partition, w0, cfg, spec, ds, round_index)
+                else:
+                    update = client_local_train(ClientState(partition), w0, cfg, spec, ds,
+                                                round_index)
+                    indices, values = update.indices, update.values
+            except TrainingDiverged as err:
+                return str(err)
+            return indices.tobytes(), values.tobytes()
+
+        expected = outcome(reference=True)
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert outcome(reference=False) == expected, action
 
     def test_client_id_comes_from_the_partition(self, wire):
         ds, spec = make_setup()
@@ -596,9 +637,9 @@ class TestRunExperiment:
         policy at either site hands backward the rows top-k does."""
         batches = []
 
-        def record(spec, layers, inputs, targets, out):
+        def record(spec, layers, inputs, targets, grads):
             batches.append((inputs.copy(), targets.copy()))
-            return backward(spec, layers, inputs, targets, out)
+            backward(spec, layers, inputs, targets, grads)
 
         monkeypatch.setattr(federation.model_ops, "backward", record)
 

@@ -70,6 +70,21 @@ def reference_backward(spec, params, inputs, labels):
     return np.concatenate(grad_chunks[::-1])
 
 
+def nan_grads(spec):
+    """A NaN-filled gradient buffer with a guard cell at each end, and the
+    unpack_params views of the cells between the guards."""
+    buffer = np.full(param_count(spec) + 2, np.nan)
+    return buffer, unpack_params(spec, buffer[1:-1])
+
+
+def written(buffer):
+    """The gradient between the guard cells of a nan_grads buffer, once
+    backward has written every coordinate of it and neither guard."""
+    assert np.isnan(buffer[[0, -1]]).all()
+    assert not np.isnan(buffer[1:-1]).any()
+    return buffer[1:-1]
+
+
 def random_batch(spec, n, seed):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n, spec.input_dim)),
@@ -277,9 +292,9 @@ class TestBackward:
                                                  full, tail, noise, seed):
         """The kernel as the client loop calls it: over the unpacked layers
         and one-hot rows of a partition of full batches and a tail of 0, 1
-        or 3 rows, writing every batch into one reused buffer. Every call
-        size from 1 to 33 rows is drawn, the default batch size 32 among
-        them."""
+        or 3 rows, writing every batch into the views of one reused buffer,
+        refilled with NaN before each call. Every call size from 1 to 33
+        rows is drawn, the default batch size 32 among them."""
         spec = ModelSpec((d, *hidden, c), activation=activation, seed=seed)
         rng = np.random.default_rng(seed)
         params = init_params(spec) + noise * rng.standard_normal(param_count(spec))
@@ -290,11 +305,13 @@ class TestBackward:
         X[rng.random(n) < 0.3] = 0.0
         layers = unpack_params(spec, params)
         targets = np.eye(c)[y]
-        out = np.full(param_count(spec), np.nan)
+        buffer, grads = nan_grads(spec)
         for start in range(0, n, batch):
             rows = slice(start, start + batch)
-            assert backward(spec, layers, X[rows], targets[rows], out) is out
-            assert np.array_equal(out, reference_backward(spec, params, X[rows], y[rows]))
+            buffer.fill(np.nan)
+            backward(spec, layers, X[rows], targets[rows], grads)
+            assert np.array_equal(written(buffer),
+                                  reference_backward(spec, params, X[rows], y[rows]))
 
     # a relu case is named by its row count alone, a tanh case "<n>-tanh"
     @pytest.mark.parametrize("n,activation", [
@@ -307,14 +324,14 @@ class TestBackward:
         params = init_params(spec)
         X, y = random_batch(spec, n, seed=n)
         X[::3] = 0.0  # zero rows: pre-activations of exactly 0.0
-        out = np.full(param_count(spec), np.nan)
-        backward(spec, unpack_params(spec, params), X, np.eye(10)[y], out)
-        assert np.array_equal(out, reference_backward(spec, params, X, y))
+        buffer, grads = nan_grads(spec)
+        backward(spec, unpack_params(spec, params), X, np.eye(10)[y], grads)
+        assert np.array_equal(written(buffer), reference_backward(spec, params, X, y))
 
 
 class TestCallerDataUntouched:
     """The activation pass writes into its own buffers only, and backward
-    only into `out`."""
+    only into the gradient views."""
 
     @pytest.mark.parametrize("n", [6, 1])
     @pytest.mark.parametrize("sizes,activation", [
@@ -326,15 +343,15 @@ class TestCallerDataUntouched:
         params = init_params(spec) + 0.1
         X, y = random_batch(spec, n, seed=n)
         targets = np.eye(spec.class_count)[y]
-        out = np.full(param_count(spec), np.nan)
+        buffer, grads = nan_grads(spec)
         before = [params.copy(), X.copy(), y.copy(), targets.copy()]
-        backward(spec, unpack_params(spec, params), X, targets, out)
+        backward(spec, unpack_params(spec, params), X, targets, grads)
         loss(spec, params, X, y)
         group_losses(spec, params, X, y, [[0], np.arange(1, n)] if n > 1 else [[0]])
         evaluate(spec, params, X, y)
         for old, new in zip(before, [params, X, y, targets]):
             assert old.tobytes() == new.tobytes()
-        assert not np.isnan(out).any()
+        written(buffer)
 
 
 class TestGroupLosses:
