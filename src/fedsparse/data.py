@@ -23,17 +23,20 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.inputs.ndim != 2:
             raise ValueError("inputs must be a 2-d matrix")
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"{self.inputs.shape[0]} input rows but {self.labels.shape[0]} labels"
-            )
+        if labels.ndim != 1 or self.inputs.shape[0] != labels.shape[0]:
+            raise ValueError(f"{self.inputs.shape[0]} input rows but labels of "
+                             f"shape {labels.shape}")
         if self.inputs.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
+        # bool labels are dtype kind "b", so they fail here too
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
+        if labels.min() < 0 or labels.max() >= self.class_count:
             raise ValueError(f"labels must lie in [0, {self.class_count})")
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return int(self.inputs.shape[0])

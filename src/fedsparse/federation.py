@@ -138,10 +138,9 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     local_gradient: each batch gradient is sparsified first and only the
     retained coordinates are stepped; the dense local model is uploaded.
 
-    The dataset's input width and class count are checked against the
-    model once per call (a Dataset's labels already lie in range); each
-    batch then runs the unchecked model.backward kernel into the layer
-    views of one gradient buffer, which no upload shares.
+    model.check_fit runs once per call (a Dataset's labels already lie in
+    range); each batch then runs the unchecked model.backward kernel into
+    the layer views of one gradient buffer, which no upload shares.
 
     Divergence has one exit at both sites: a non-finite gradient (checked
     before sparsify on local_gradient) or non-finite parameters after a
@@ -158,11 +157,7 @@ def client_local_train(client: ClientState, global_params: np.ndarray,
     n = idx.shape[0]
     if n == 0:
         raise ValueError(f"client {client_id} has an empty partition")
-    if (dataset.input_dim, dataset.class_count) != (model_spec.input_dim,
-                                                    model_spec.class_count):
-        raise ValueError(f"dataset has input_dim {dataset.input_dim} and "
-                         f"{dataset.class_count} classes, model expects input_dim "
-                         f"{model_spec.input_dim} and {model_spec.class_count} classes")
+    model_ops.check_fit(model_spec, dataset)
     labels = dataset.labels[idx]
     one_hot = np.eye(model_spec.class_count)
     policy_key = [cfg.seed, _POLICY_TAG, client_id, round_index]
@@ -276,7 +271,7 @@ def global_loss(model_spec: ModelSpec, params: np.ndarray, dataset: Dataset,
         raise ValueError("global_loss needs at least one partition")
     sizes = [len(p) for p in partitions]
     total = sum(sizes)
-    means = model_ops.group_losses(model_spec, params, dataset.inputs, dataset.labels,
+    means = model_ops.group_losses(model_spec, params, dataset,
                                    [p.sample_indices for p in partitions])
     value = 0.0
     for size, mean in zip(sizes, means):
@@ -315,7 +310,7 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
         if not np.isfinite(aggregated).all():
             raise TrainingDiverged(f"aggregated parameters non-finite in round {t}")
         loss_value = global_loss(model_spec, aggregated, train_ds, partitions)
-        accuracy = model_ops.evaluate(model_spec, aggregated, test_ds.inputs, test_ds.labels)
+        accuracy = model_ops.evaluate(model_spec, aggregated, test_ds)
 
     metrics = RoundMetrics(
         round=t,

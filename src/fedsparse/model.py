@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # data imports config, which imports this module
+    from .data import Dataset
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -93,13 +97,13 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
             for w, b, end, n_in, n_out in slices]
 
 
-def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"inputs have shape {inputs.shape}, model expects (*, {spec.input_dim})"
-        )
-    return inputs
+def check_fit(spec: ModelSpec, dataset: Dataset) -> None:
+    """The dataset's input width and class count must equal the model's; a
+    Dataset owns its own shape and label-range rules."""
+    if (dataset.input_dim, dataset.class_count) != (spec.input_dim, spec.class_count):
+        raise ValueError(f"dataset has input_dim {dataset.input_dim} and "
+                         f"{dataset.class_count} classes, model expects input_dim "
+                         f"{spec.input_dim} and {spec.class_count} classes")
 
 
 def _activations(spec, layers, inputs):
@@ -127,15 +131,6 @@ def _sum_left_to_right(values: list[float]) -> float:
     return total
 
 
-def _check_labels(labels: np.ndarray, class_count: int, batch: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != batch:
-        raise ValueError(f"labels have shape {labels.shape}, expected ({batch},)")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ValueError(f"labels must lie in [0, {class_count})")
-    return labels.astype(np.int64, copy=False)
-
-
 def _row_max(logits: np.ndarray) -> np.ndarray:
     """The max of each row, as a left-to-right np.maximum fold over the
     columns: one call per column, where logits.max(axis=1) runs numpy's
@@ -156,35 +151,34 @@ def _per_sample_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return lse - logits[np.arange(logits.shape[0]), labels]
 
 
-def group_losses(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-                 labels: np.ndarray, groups) -> list[float]:
+def group_losses(spec: ModelSpec, params: np.ndarray, dataset: Dataset,
+                 groups) -> list[float]:
     """Mean cross-entropy of each row group; groups[j] lists the indices of
-    group j's rows in inputs and labels, in summation order.
+    group j's rows in the dataset, in summation order.
 
-    Equal, bit for bit, to calling loss on each group's rows alone: inputs
-    and labels are checked and the parameters unpacked once, each group's
-    rows are gathered for its own forward pass, and the per-sample losses of
-    all groups are computed at once, then summed left to right per group.
+    Equal, bit for bit, to calling loss on each group's rows alone: the fit
+    is checked and the parameters unpacked once, each group's rows are
+    gathered for its own forward pass, and the per-sample losses of all
+    groups are computed at once, then summed left to right per group.
     """
-    inputs = _check_inputs(spec, inputs)
-    labels = _check_labels(labels, spec.class_count, inputs.shape[0])
+    check_fit(spec, dataset)
     if not groups or min(len(g) for g in groups) < 1:
         raise ValueError("loss needs at least one group and one row per group")
     layers = unpack_params(spec, params)
     # One forward pass per group: BLAS may round a product over another row
     # count differently in the last bit. The loss itself is row-wise.
-    logits = np.concatenate([_activations(spec, layers, inputs[g])[-1] for g in groups])
-    labels = np.concatenate([labels[g] for g in groups])
+    logits = np.concatenate([_activations(spec, layers, dataset.inputs[g])[-1]
+                             for g in groups])
+    labels = np.concatenate([dataset.labels[g] for g in groups])
     per_sample = _per_sample_losses(logits, labels).tolist()
     bounds = [0, *itertools.accumulate(len(g) for g in groups)]
     return [_sum_left_to_right(per_sample[lo:hi]) / (hi - lo)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
+def loss(spec: ModelSpec, params: np.ndarray, dataset: Dataset) -> float:
     """Batch mean cross-entropy: group_losses with every row, in order, as one group."""
-    inputs = _check_inputs(spec, inputs)
-    return group_losses(spec, params, inputs, labels, [np.arange(inputs.shape[0])])[0]
+    return group_losses(spec, params, dataset, [np.arange(len(dataset))])[0]
 
 
 def backward(spec: ModelSpec, layers, inputs: np.ndarray, targets: np.ndarray,
@@ -223,12 +217,8 @@ def backward(spec: ModelSpec, layers, inputs: np.ndarray, targets: np.ndarray,
             delta *= h > 0.0 if spec.activation == "relu" else 1.0 - h * h
 
 
-def evaluate(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-             labels: np.ndarray) -> float:
+def evaluate(spec: ModelSpec, params: np.ndarray, dataset: Dataset) -> float:
     """Top-1 accuracy; argmax ties break toward the lowest class index."""
-    inputs = _check_inputs(spec, inputs)
-    if inputs.shape[0] == 0:
-        raise ValueError("evaluate over an empty dataset")
-    labels = _check_labels(labels, spec.class_count, inputs.shape[0])
-    pred = np.argmax(_activations(spec, unpack_params(spec, params), inputs)[-1], axis=1)
-    return float(np.mean(pred == labels))
+    check_fit(spec, dataset)
+    logits = _activations(spec, unpack_params(spec, params), dataset.inputs)[-1]
+    return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))

@@ -3,11 +3,12 @@
 forward is not independent: it returns the logits of the activation pass
 that model.loss, model.evaluate and model.backward share, so the tests can
 check that pass directly. Nor is gradient: it is model.backward behind the
-input, label and parameter-length checks that the client loop runs once per
-call, so a test can take one batch's gradient from a flat vector and
-labels. local_train is federation.client_local_train's upload as a plain
-loop over gradient and sparsify, checked after every step, for the replay
-that names a diverging batch. finite_diff_grad checks model.backward;
+Dataset rules and the fit and parameter-length checks that the client loop
+runs once per call, so a test can take one batch's gradient from a flat
+vector and labels. fitted builds the Dataset both run behind. local_train
+is federation.client_local_train's upload as a plain loop over gradient
+and sparsify, checked after every step, for the replay that names a
+diverging batch. finite_diff_grad checks model.backward;
 log_gamma, DirichletParams, sample_dirichlet and dirichlet_log_pdf check
 the Dirichlet sampler that partition.partition_dataset draws client
 proportions from. Log-Gamma uses the 9-coefficient Lanczos approximation
@@ -25,31 +26,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedsparse.data import Dataset
 from fedsparse.federation import TrainingDiverged
-from fedsparse.model import (ModelSpec, _activations, _check_inputs, _check_labels, backward,
-                             loss, param_count, unpack_params)
+from fedsparse.model import (ModelSpec, _activations, backward, check_fit, loss, param_count,
+                             unpack_params)
 from fedsparse.partition import Partition, _sample_proportions
 from fedsparse.sparsify import SparseUpdate, sparsify
 
 
+def fitted(spec: ModelSpec, inputs, labels) -> Dataset:
+    """inputs and labels as a Dataset of the model's class count, behind the
+    package's fit check."""
+    dataset = Dataset(inputs, labels, spec.class_count)
+    check_fit(spec, dataset)
+    return dataset
+
+
 def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Logits matrix, shape (batch, class_count), behind the package's own
-    input and parameter-length checks."""
-    inputs = _check_inputs(spec, inputs)
-    return _activations(spec, unpack_params(spec, params), inputs)[-1]
+    shape, fit and parameter-length checks."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    dataset = fitted(spec, inputs, np.zeros(inputs.shape[:1], dtype=np.int64))
+    return _activations(spec, unpack_params(spec, params), dataset.inputs)[-1]
 
 
 def gradient(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
              labels: np.ndarray) -> np.ndarray:
     """Gradient of the batch-mean cross-entropy w.r.t. the flat parameter
-    vector, in a fresh array: model.backward on checked inputs and labels."""
-    inputs = _check_inputs(spec, inputs)
-    if inputs.shape[0] == 0:
-        raise ValueError("backward over an empty batch")
-    labels = _check_labels(labels, spec.class_count, inputs.shape[0])
+    vector, in a fresh array: model.backward on a fitted batch."""
+    batch = fitted(spec, inputs, labels)
     grad = np.empty(param_count(spec))
-    backward(spec, unpack_params(spec, params), inputs, np.eye(spec.class_count)[labels],
-             unpack_params(spec, grad))
+    backward(spec, unpack_params(spec, params), batch.inputs,
+             np.eye(spec.class_count)[batch.labels], unpack_params(spec, grad))
     return grad
 
 
@@ -104,14 +112,15 @@ def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     if step <= 0:
         raise ValueError("step must be > 0")
     params = np.asarray(params, dtype=np.float64)
+    batch = Dataset(inputs, labels, spec.class_count)
     grad = np.zeros_like(params)
     work = params.copy()
     for j in range(params.shape[0]):
         orig = work[j]
         work[j] = orig + step
-        up = loss(spec, work, inputs, labels)
+        up = loss(spec, work, batch)
         work[j] = orig - step
-        down = loss(spec, work, inputs, labels)
+        down = loss(spec, work, batch)
         work[j] = orig
         grad[j] = (up - down) / (2.0 * step)
     return grad

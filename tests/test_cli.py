@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, output files, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,18 +10,22 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedsparse
 from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from fedsparse.config import parse_config
 from fedsparse.federation import build_dataset, run_experiment
 from fedsparse.data import csv_text, gen_synthetic
+from fedsparse.partition import MIN_ALPHA
 
 
 @pytest.fixture
@@ -252,6 +258,83 @@ class TestRun:
         if code == EXIT_OK:
             for name in ("metrics.csv", "summary.json", "partitions.csv"):
                 assert (tmp_path / "out" / name).is_file()
+
+    # Small configs near the edges of every run input. "rare_class_csv" is a
+    # CSV of per_class rows of each class but the last, which has one row,
+    # declared with 0 or 1 classes more than it has; 40 clients outnumber
+    # every training set here; a threshold of 1e9 keeps nothing and a rate
+    # of 1e-9 keeps one entry.
+    BOUNDARY_CASES = st.fixed_dictionaries({
+        "data": st.tuples(st.sampled_from(["synthetic", "rare_class_csv"]),
+                          st.integers(2, 4), st.sampled_from(range(1, 7)),
+                          st.integers(0, 1)),
+        "seed": st.integers(0, 3),
+        "clients": st.sampled_from([1, 2, 3, 40]),
+        "alpha": st.sampled_from([MIN_ALPHA, 0.3, 1e3]),
+        "test_fraction": st.sampled_from([1e-3, 0.3, 0.5, 0.999]),
+        "participation": st.sampled_from([1e-9, 0.5, 1.0]),
+        "batch_size": st.sampled_from([1, 4, 1000]),
+        "policy": st.sampled_from([{"kind": "top_k", "rate": 1e-9},
+                                   {"kind": "random", "rate": 0.3},
+                                   {"kind": "threshold", "tau": 1e9},
+                                   {"kind": "dense"}]),
+        "learning_rate": st.sampled_from([0.05, 1e150]),
+        "sparsify_site": st.sampled_from(["uploaded_delta", "local_gradient"]),
+        "rounds": st.integers(1, 2),
+        "local_epochs": st.integers(1, 2),
+    })
+    PINNED = {"seed": 3, "clients": 3, "alpha": 0.3, "test_fraction": 0.2,
+              "participation": 1.0, "batch_size": 8, "policy": {"kind": "top_k", "rate": 0.3},
+              "learning_rate": 0.05, "sparsify_site": "uploaded_delta", "rounds": 1,
+              "local_epochs": 1}
+
+    @given(case=BOUNDARY_CASES)
+    @example(case={**PINNED, "data": ("rare_class_csv", 3, 6, 0)})
+    @example(case={**PINNED, "data": ("synthetic", 3, 1, 0)})
+    @example(case={**PINNED, "data": ("synthetic", 2, 6, 0), "learning_rate": 1e150,
+                   "sparsify_site": "local_gradient", "batch_size": 4, "rounds": 2})
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_contract_under_either_warning_filter(self, case):
+        """`run` in-process under the default filter and under warnings as
+        errors: the same exit code and stderr both times, and the outcome is
+        exit 0 with three outputs, exit 1 with one config error line naming
+        its key, or exit 2 with one error line. Nothing raises out of main."""
+        kind, classes, per_class, spare = case["data"]
+        with tempfile.TemporaryDirectory() as tmp:
+            if kind == "rare_class_csv":
+                ds = gen_synthetic(classes, 6, 3, 2.0, rng_seed=case["seed"])
+                rows = [np.flatnonzero(ds.labels == c)[:per_class if c < classes - 1 else 1]
+                        for c in range(classes)]
+                data = Path(tmp, "data.csv")
+                data.write_text(csv_text(ds.subset(np.sort(np.concatenate(rows)))))
+                dataset = {"kind": "csv", "path": str(data), "input_dim": 3,
+                           "classes": classes + spare, "normalize": True}
+            else:
+                dataset = {"kind": "synthetic", "classes": classes, "per_class": per_class,
+                           "input_dim": 3}
+            doc = {key: value for key, value in case.items() if key != "data"}
+            config = Path(tmp, "config.json")
+            config.write_text(json.dumps({**doc, "dataset": dataset, "model": {"hidden": [4]}}))
+            outcomes = []
+            for action in ("default", "error"):
+                out = Path(tmp, action)
+                err = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter(action)
+                    code = main(["run", str(config), "--out", str(out), "--quiet"])
+                outcomes.append((code, err.getvalue()))
+                if code == EXIT_OK:
+                    assert err.getvalue() == ""
+                    for name in ("metrics.csv", "summary.json", "partitions.csv"):
+                        assert (out / name).is_file()
+                elif code == EXIT_USAGE:
+                    assert re.fullmatch(r"fedsparse: config error: [\w.]+: [^\n]+\n",
+                                        err.getvalue())
+                else:
+                    assert code == EXIT_RUNTIME
+                    assert re.fullmatch(r"fedsparse: error: [^\n]+\n", err.getvalue())
+            assert outcomes[0] == outcomes[1]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -25,6 +25,29 @@ def train_linear(ds, epochs=30, lr=0.1, seed=0):
     return spec, params
 
 
+class TestDataset:
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, 1.0], [True, False]],
+                             ids=["fractional", "integral_float", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        """A float label is not truncated to a class, nor a bool read as 0/1."""
+        with pytest.raises(ValueError, match="^labels must have an integer dtype"):
+            Dataset(np.zeros((2, 3)), np.array(labels), 2)
+
+    def test_integer_labels_of_any_width_become_int64(self):
+        ds = Dataset(np.zeros((3, 2)), np.array([1, 0, 1], dtype=np.uint8), 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0, 1]
+
+    def test_empty_dataset_named_before_the_label_dtype(self):
+        with pytest.raises(ValueError, match="^dataset must contain at least one sample$"):
+            Dataset(np.zeros((0, 3)), [], 2)
+
+    @pytest.mark.parametrize("labels", [np.zeros((2, 1), dtype=int), np.zeros(3, dtype=int)],
+                             ids=["column", "too_many"])
+    def test_labels_must_be_one_per_row(self, labels):
+        with pytest.raises(ValueError, match="^2 input rows but labels of shape"):
+            Dataset(np.zeros((2, 3)), labels, 2)
+
+
 class TestSynthetic:
     def test_shapes_and_determinism(self):
         a = gen_synthetic(3, 50, 6, 2.0, rng_seed=4)
@@ -37,12 +60,12 @@ class TestSynthetic:
     def test_widely_separated_classes_are_learnable(self):
         ds = gen_synthetic(2, 200, 5, 100.0, rng_seed=1)
         spec, params = train_linear(ds)
-        assert evaluate(spec, params, ds.inputs, ds.labels) > 0.99
+        assert evaluate(spec, params, ds) > 0.99
 
     def test_zero_separation_is_chance_level(self):
         ds = gen_synthetic(2, 5000, 5, 0.0, rng_seed=2)
         spec, params = train_linear(ds, epochs=3)
-        assert abs(evaluate(spec, params, ds.inputs, ds.labels) - 0.5) < 0.05
+        assert abs(evaluate(spec, params, ds) - 0.5) < 0.05
 
     def test_accuracy_grows_with_separation(self):
         """Separability is monotone over {0, 1, 3, 10}, averaged over seeds."""
@@ -52,7 +75,7 @@ class TestSynthetic:
             for seed in range(5):
                 ds = gen_synthetic(3, 120, 6, sep, rng_seed=seed)
                 spec, params = train_linear(ds, epochs=10, seed=seed)
-                accs.append(evaluate(spec, params, ds.inputs, ds.labels))
+                accs.append(evaluate(spec, params, ds))
             means.append(np.mean(accs))
         assert all(b >= a for a, b in zip(means, means[1:]))
 

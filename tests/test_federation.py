@@ -15,8 +15,8 @@ from fedsparse.data import Dataset, gen_synthetic
 from fedsparse.federation import (ClientState, ClientUpdate, ServerState,
                                   TrainingDiverged, aggregate, client_local_train,
                                   global_loss, run_experiment, run_round)
-from fedsparse.model import (ModelSpec, backward, group_losses, init_params, param_count,
-                             unpack_params)
+from fedsparse.model import (ModelSpec, backward, evaluate, group_losses, init_params,
+                             param_count, unpack_params)
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import Partition, partition_dataset
 from fedsparse.sparsify import SparsityPolicy, encode, encoded_size, retained_count
@@ -202,19 +202,27 @@ class TestClientLocalTrain:
         with pytest.raises(ValueError, match="empty partition"):
             client_local_train(client, init_params(spec), cfg, spec, ds)
 
+    @pytest.mark.parametrize("call", [
+        lambda spec, w, ds: client_local_train(single_client(ds), w,
+                                               cfg_with(SparsityPolicy("dense")), spec, ds),
+        lambda spec, w, ds: group_losses(spec, w, ds, [np.arange(len(ds))]),
+        model_loss,
+        evaluate,
+    ], ids=["client_local_train", "group_losses", "loss", "evaluate"])
     @pytest.mark.parametrize("sizes,message", [
         ((5, 6, 3), "dataset has input_dim 4 and 3 classes, model expects "
                     "input_dim 5 and 3 classes"),
         ((4, 6, 2), "dataset has input_dim 4 and 3 classes, model expects "
                     "input_dim 4 and 2 classes"),
     ], ids=["input_dim", "class_count"])
-    def test_dataset_that_does_not_fit_the_model_rejected(self, sizes, message):
-        """Checked once per call, before any batch: the error names both sides."""
+    def test_dataset_that_does_not_fit_the_model_rejected(self, sizes, message, call):
+        """model.check_fit is the one owner of the fit rule: the client loop
+        checks it once per call, before any batch, and the loss and accuracy
+        calls once each. The error names both sides."""
         ds, _ = make_setup()
         spec = ModelSpec(sizes)
-        cfg = cfg_with(SparsityPolicy("dense"))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
+            call(spec, init_params(spec), ds)
 
     @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
     def test_back_to_back_clients_share_no_buffer(self, site):
@@ -409,8 +417,8 @@ class TestGlobalLoss:
         else:
             parts = consecutive_partitions(sizes, seed, rows=n)
         groups = [p.sample_indices for p in parts]
-        assert group_losses(spec, params, ds.inputs, ds.labels, groups) == \
-            [model_loss(spec, params, ds.inputs[g], ds.labels[g]) for g in groups]
+        assert group_losses(spec, params, ds, groups) == \
+            [model_loss(spec, params, ds.subset(g)) for g in groups]
         assert global_loss(spec, params, ds, parts) == \
             reference_global_loss(spec, params, ds, parts)
 
@@ -434,8 +442,7 @@ class TestGlobalLoss:
         groups = list(zip(bounds, bounds[1:]))
         own = [reference_mean_loss(reference_logits(spec, params, inputs[lo:hi]),
                                    labels[lo:hi]) for lo, hi in groups]
-        assert group_losses(spec, params, ds.inputs, ds.labels,
-                            [p.sample_indices for p in parts]) == own
+        assert group_losses(spec, params, ds, [p.sample_indices for p in parts]) == own
         pooled_logits = reference_logits(spec, params, inputs)  # one product chain
         pooled = [reference_mean_loss(pooled_logits[lo:hi], labels[lo:hi])
                   for lo, hi in groups]
@@ -447,7 +454,7 @@ class TestGlobalLoss:
         full = np.arange(len(ds))
         parts = [Partition(i, full) for i in range(3)]
         got = global_loss(spec, params, ds, parts)
-        single = model_loss(spec, params, ds.inputs, ds.labels)
+        single = model_loss(spec, params, ds)
         assert got == pytest.approx(single, rel=1e-12)
 
     def test_weighted_mean_arithmetic(self):
@@ -455,8 +462,8 @@ class TestGlobalLoss:
         n = len(ds)
         params = init_params(spec)
         parts = [Partition(0, np.arange(10)), Partition(1, np.arange(10, n))]
-        l0 = model_loss(spec, params, ds.inputs[:10], ds.labels[:10])
-        l1 = model_loss(spec, params, ds.inputs[10:], ds.labels[10:])
+        l0 = model_loss(spec, params, ds.subset(np.arange(10)))
+        l1 = model_loss(spec, params, ds.subset(np.arange(10, n)))
         expected = (10 / n) * l0 + ((n - 10) / n) * l1
         assert global_loss(spec, params, ds, parts) == pytest.approx(expected, rel=1e-12)
 
@@ -464,7 +471,7 @@ class TestGlobalLoss:
         ds, spec = make_setup(n=48, seed=6)
         params = init_params(spec)
         parts = partition_dataset(ds.labels, 3, 0.5, rng_seed=1)
-        pooled = model_loss(spec, params, ds.inputs, ds.labels)
+        pooled = model_loss(spec, params, ds)
         assert global_loss(spec, params, ds, parts) == pytest.approx(pooled, rel=1e-12)
 
     def test_reads_the_training_set_in_place(self):

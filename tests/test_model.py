@@ -1,6 +1,9 @@
 """Model-core tests: forward/loss/backprop against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsparse.data import Dataset
 from fedsparse.model import (ModelSpec, _per_sample_losses, _row_max, backward,
                              evaluate, group_losses, init_params, loss,
                              param_count, unpack_params)
@@ -126,6 +130,22 @@ class TestSpecAndInit:
             ModelSpec((4, 2), activation="sigmoid")
 
 
+def test_model_loads_no_data_module():
+    """model names Dataset for type checkers only: data imports config, which
+    imports model, so a run-time import would close a cycle. The package
+    __init__ imports every module, so a bare package stands in for it."""
+    import fedsparse
+    script = ("import sys, types\n"
+              "pkg = types.ModuleType('fedsparse')\n"
+              f"pkg.__path__ = [{os.path.dirname(fedsparse.__file__)!r}]\n"
+              "sys.modules['fedsparse'] = pkg\n"
+              "import fedsparse.model\n"
+              "print(sorted(m for m in sys.modules if m.startswith('fedsparse.')))\n")
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip() == "['fedsparse.model']"
+
+
 class TestForward:
     def test_zero_params_give_zero_logits(self):
         spec = ModelSpec((3, 4, 2))
@@ -167,7 +187,7 @@ def logit_loss(logits, labels):
     logits = np.asarray(logits, dtype=np.float64)
     c = logits.shape[1]
     params = np.concatenate([np.eye(c).ravel(), np.zeros(c)])
-    return loss(ModelSpec((c, c)), params, logits, labels)
+    return loss(ModelSpec((c, c)), params, Dataset(logits, labels, c))
 
 
 class TestCrossEntropy:
@@ -195,7 +215,7 @@ class TestCrossEntropy:
         assert logit_loss(logits, labels) == pytest.approx(expected, rel=1e-13)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one sample"):
             logit_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_confident_correct_margin(self):
@@ -251,8 +271,8 @@ class TestBackward:
         params = init_params(spec)
         X, y = random_batch(spec, 9, seed=7)
         perm = np.random.default_rng(1).permutation(9)
-        l1 = loss(spec, params, X, y)
-        l2 = loss(spec, params, X[perm], y[perm])
+        l1 = loss(spec, params, Dataset(X, y, 3))
+        l2 = loss(spec, params, Dataset(X[perm], y[perm], 3))
         assert l2 == pytest.approx(l1, rel=1e-12)
         g1 = gradient(spec, params, X, y)
         g2 = gradient(spec, params, X[perm], y[perm])
@@ -262,7 +282,8 @@ class TestBackward:
         spec = ModelSpec((4, 6, 3), seed=3)
         params = init_params(spec)
         X, y = random_batch(spec, 9, seed=7)
-        assert loss(spec, params, X, y) == loss(spec, params, X, y)
+        ds = Dataset(X, y, 3)
+        assert loss(spec, params, ds) == loss(spec, params, ds)
 
     def test_loss_sums_left_to_right(self):
         # One loss near 3, then 16 of about 2**-52, the smallest positive
@@ -346,9 +367,10 @@ class TestCallerDataUntouched:
         buffer, grads = nan_grads(spec)
         before = [params.copy(), X.copy(), y.copy(), targets.copy()]
         backward(spec, unpack_params(spec, params), X, targets, grads)
-        loss(spec, params, X, y)
-        group_losses(spec, params, X, y, [[0], np.arange(1, n)] if n > 1 else [[0]])
-        evaluate(spec, params, X, y)
+        ds = Dataset(X, y, spec.class_count)
+        loss(spec, params, ds)
+        group_losses(spec, params, ds, [[0], np.arange(1, n)] if n > 1 else [[0]])
+        evaluate(spec, params, ds)
         for old, new in zip(before, [params, X, y, targets]):
             assert old.tobytes() == new.tobytes()
         written(buffer)
@@ -363,12 +385,12 @@ class TestGroupLosses:
         bounds = np.cumsum([0, *sizes])
         groups = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with pytest.raises(ValueError, match="one row per group"):
-            group_losses(spec, init_params(spec), X, y, groups)
+            group_losses(spec, init_params(spec), Dataset(X, y, 3), groups)
 
     def test_empty_batch_loss_rejected(self):
         spec = ModelSpec((2, 2))
-        with pytest.raises(ValueError):
-            loss(spec, init_params(spec), np.zeros((0, 2)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="at least one sample"):
+            loss(spec, init_params(spec), Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
 
 
 def reduce_per_sample_losses(logits, labels):
@@ -444,7 +466,7 @@ class TestEvaluate:
         layers = unpack_params(spec, params)
         layers[0][1][0] = 5.0  # bias favors class 0
         X = np.random.default_rng(0).standard_normal((40, 2))
-        assert evaluate(spec, params, X, np.zeros(40, dtype=int)) == 1.0
+        assert evaluate(spec, params, Dataset(X, np.zeros(40, dtype=int), 3)) == 1.0
 
     def test_untrained_model_near_chance(self):
         spec = ModelSpec((4, 3), seed=99)
@@ -452,7 +474,7 @@ class TestEvaluate:
         rng = np.random.default_rng(123)
         X = rng.standard_normal((10000, 4))
         y = rng.integers(0, 3, size=10000)
-        assert abs(evaluate(spec, params, X, y) - 1 / 3) < 0.05
+        assert abs(evaluate(spec, params, Dataset(X, y, 3)) - 1 / 3) < 0.05
 
     def test_perfect_logits(self):
         spec = ModelSpec((3, 3))
@@ -460,20 +482,20 @@ class TestEvaluate:
         params = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
         y = np.array([0, 1, 2, 1])
         X = np.eye(3)[y] * 10
-        assert evaluate(spec, params, X, y) == 1.0
+        assert evaluate(spec, params, Dataset(X, y, 3)) == 1.0
 
     def test_argmax_tie_breaks_low_index(self):
         spec = ModelSpec((2, 2))
         params = np.zeros(param_count(spec))  # all logits equal
         X = np.ones((4, 2))
-        assert evaluate(spec, params, X, np.zeros(4, dtype=int)) == 1.0
-        assert evaluate(spec, params, X, np.ones(4, dtype=int)) == 0.0
+        assert evaluate(spec, params, Dataset(X, np.zeros(4, dtype=int), 2)) == 1.0
+        assert evaluate(spec, params, Dataset(X, np.ones(4, dtype=int), 2)) == 0.0
 
     def test_empty_dataset_rejected(self):
         spec = ModelSpec((2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one sample"):
             evaluate(spec, np.zeros(param_count(spec)),
-                     np.zeros((0, 2)), np.zeros(0, dtype=int))
+                     Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
 
 
 def test_gradient_check_matrix():
