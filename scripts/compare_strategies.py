@@ -2,9 +2,10 @@
 """Head-to-head of the three sparsification strategies at strong skew.
 
 Runs top-k, threshold, and random sparsification across parameter values
-{0.1, 0.2, 0.3, 0.4} at alpha = 0.3 (the value doubles as the retained
-fraction for top-k/random and as tau for threshold), averaged over a few
-seeds, and prints one accuracy table per strategy.
+{0.1, 0.2, 0.3, 0.4} on the task of sweep_rate_alpha.py at its alpha of 0.3
+(the value doubles as the retained fraction for top-k/random and as tau for
+threshold), averaged over a few seeds, and prints one accuracy table per
+strategy.
 """
 
 import argparse
@@ -17,21 +18,16 @@ from fedsparse.config import parse_config_dict
 from fedsparse.federation import run_experiment
 from fedsparse.sparsify import POLICY_PARAM
 
+# the sibling script, found on the path Python gives this script's directory
+from sweep_rate_alpha import BASE_CONFIG
+
 STRATEGIES = ("top_k", "threshold", "random")
 VALUES = (0.1, 0.2, 0.3, 0.4)
 
 
 def build_config(seed, kind, value, rounds):
-    return parse_config_dict({
-        "seed": seed,
-        "dataset": {"kind": "synthetic", "classes": 3, "per_class": 150,
-                    "input_dim": 10, "separation": 1.5},
-        "model": {"hidden": [16], "activation": "relu"},
-        "policy": {"kind": kind, POLICY_PARAM[kind]: value},
-        "clients": 3, "alpha": 0.3,
-        "rounds": rounds, "local_epochs": 5, "learning_rate": 0.01,
-        "batch_size": 8, "test_fraction": 0.4,
-    })
+    return parse_config_dict(dict(BASE_CONFIG, seed=seed, rounds=rounds,
+                                  policy={"kind": kind, POLICY_PARAM[kind]: value}))
 
 
 def main() -> int:
@@ -41,7 +37,7 @@ def main() -> int:
     args = parser.parse_args()
 
     seeds = list(range(args.seeds))
-    print(f"synthetic 3-class task, alpha=0.3, {args.rounds} rounds, "
+    print(f"synthetic 3-class task, alpha={BASE_CONFIG['alpha']}, {args.rounds} rounds, "
           f"{len(seeds)} seeds\n")
     print(f"{'strategy':<12}" + "".join(f"{v:>10}" for v in VALUES) + f"{'bytes@0.2':>14}")
     for kind in STRATEGIES:

@@ -140,11 +140,43 @@ class ExperimentConfig:
         _require(self.batch_size >= 1, "batch_size", "must be >= 1")
         _require(0.0 < self.participation <= 1.0, "participation", "must be in (0, 1]")
         _require(0.0 < self.test_fraction < 1.0, "test_fraction", "must be in (0, 1)")
-        params = param_count(ModelSpec(
-            (self.dataset.input_dim, *self.model.hidden, self.dataset.classes)))
+        params = param_count(self.model_spec)
         _require(params <= MAX_INDEX + 1, "model.hidden",
                  f"gives {params} params, more than {MAX_INDEX + 1} "
                  f"(the FSU1 index is a u32)")
+        if isinstance(self.dataset, SyntheticDataConfig):
+            self.check_split([self.dataset.per_class] * self.dataset.classes)
+
+    @property
+    def model_spec(self) -> ModelSpec:
+        """The run's model: the dataset's input width, the hidden widths and
+        the dataset's class count, initialized from the run's seed."""
+        data = self.dataset
+        return ModelSpec((data.input_dim, *self.model.hidden, data.classes),
+                         self.model.activation, self.seed)
+
+    def check_split(self, class_sizes) -> None:
+        """The rules on the sizes of a dataset's nonempty classes that only the
+        config can fix: the stratified split leaves a test row, and a
+        training row for every client. A synthetic dataset's sizes are known
+        here; a CSV dataset is checked once loaded."""
+        _require(max(class_sizes) >= 2, "dataset",
+                 "every class has a single row, which stays in train, so no "
+                 "test_fraction leaves a test row")
+        test_rows = sum(class_test_count(n, self.test_fraction) for n in class_sizes)
+        _require(test_rows >= 1, "test_fraction",
+                 f"must be large enough to leave a test row, but "
+                 f"{self.test_fraction!r} of every class rounds to none")
+        train_rows = sum(class_sizes) - test_rows
+        _require(train_rows >= self.clients, "clients",
+                 f"must be <= {train_rows}, the training rows the split leaves")
+
+
+def class_test_count(class_size: int, test_fraction: float) -> int:
+    """Test rows of one class of class_size >= 1 rows in the stratified
+    split: round(test_fraction * class_size), at most class_size - 1 so the
+    class stays in train."""
+    return min(math.floor(test_fraction * class_size + 0.5), class_size - 1)
 
 
 def _check_keys(obj: dict, allowed: set[str], section: str):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SyntheticDataConfig
+from .config import SyntheticDataConfig, class_test_count
 
 
 @dataclass
@@ -133,7 +133,7 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
 
 def train_test_split(ds: Dataset, test_fraction: float,
                      rng_seed) -> tuple[Dataset, Dataset]:
-    """Stratified split: each class contributes round(fraction * count)
+    """Stratified split: each class contributes config.class_test_count
     test samples (at least one stays in train, so a class with a single
     sample is kept in train, silently). Deterministic given seed."""
     if not (0.0 < test_fraction < 1.0):
@@ -145,9 +145,7 @@ def train_test_split(ds: Dataset, test_fraction: float,
     # numpy.ma (about 1.2 MiB resident) for one is_masked check
     for cls in sorted(set(ds.labels.tolist())):
         cls_idx = rng.permutation(np.flatnonzero(ds.labels == cls))
-        n_cls = cls_idx.shape[0]
-        n_test = int(np.floor(test_fraction * n_cls + 0.5))
-        n_test = min(n_test, n_cls - 1)  # keep the class represented in train
+        n_test = class_test_count(cls_idx.shape[0], test_fraction)
         test_idx.append(cls_idx[:n_test])
         train_idx.append(cls_idx[n_test:])
     train = np.sort(np.concatenate(train_idx))

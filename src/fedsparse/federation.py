@@ -327,7 +327,9 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
 
 def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Materialize the configured dataset and its train/test split; a CSV
-    dataset with `normalize` set is scaled by the train statistics."""
+    dataset with `normalize` set is scaled by the train statistics. A CSV
+    dataset's class sizes meet ExperimentConfig.check_split, which raises
+    ConfigError, before it is split."""
     data = config.dataset
     if isinstance(data, SyntheticDataConfig):
         ds = gen_synthetic(data.classes, data.per_class, data.input_dim,
@@ -335,6 +337,7 @@ def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     else:
         ds = load_csv(data.path, data.input_dim, data.classes,
                       skip_header=data.skip_header)
+        config.check_split([n for n in np.bincount(ds.labels).tolist() if n])
     train, test = train_test_split(ds, config.test_fraction, [config.seed, _SPLIT_TAG])
     if isinstance(data, CsvDataConfig) and data.normalize:
         train, test = normalize(train, test)
@@ -348,11 +351,7 @@ def run_experiment(config: ExperimentConfig, on_round=None) -> ServerState:
     train_ds, test_ds = build_dataset(config)
     partitions = partition_dataset(train_ds.labels, config.clients, config.alpha,
                                    [config.seed, _PARTITION_TAG])
-    spec = ModelSpec(
-        layer_sizes=(train_ds.input_dim, *config.model.hidden, train_ds.class_count),
-        activation=config.model.activation,
-        seed=config.seed,
-    )
+    spec = config.model_spec
     server = ServerState(global_params=model_ops.init_params(spec), partitions=partitions)
     clients = [ClientState(p) for p in partitions]
     for _ in range(config.rounds):

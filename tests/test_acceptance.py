@@ -274,7 +274,7 @@ def test_criterion_9_fedavg_degeneration():
         train, test = build_dataset(config)
         from fedsparse.partition import partition_dataset
         parts = partition_dataset(train.labels, 1, config.alpha, [config.seed, 12])
-        spec = ModelSpec((train.input_dim, 8, train.class_count), seed=config.seed)
+        spec = config.model_spec
         server = ServerState(global_params=init_params(spec))
         clients = [ClientState(parts[0])]
 

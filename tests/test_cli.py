@@ -28,6 +28,27 @@ from fedsparse.data import csv_text, gen_synthetic
 from fedsparse.partition import MIN_ALPHA
 
 
+def write_boundary_case(tmp: str, case: dict) -> Path:
+    """The config file of a TestRun.BOUNDARY_CASES draw, and its CSV if any,
+    written under tmp."""
+    kind, classes, per_class, spare = case["data"]
+    if kind == "rare_class_csv":
+        ds = gen_synthetic(classes, 6, 3, 2.0, rng_seed=case["seed"])
+        rows = [np.flatnonzero(ds.labels == c)[:per_class if c < classes - 1 else 1]
+                for c in range(classes)]
+        data = Path(tmp, "data.csv")
+        data.write_text(csv_text(ds.subset(np.sort(np.concatenate(rows)))))
+        dataset = {"kind": "csv", "path": str(data), "input_dim": 3,
+                   "classes": classes + spare, "normalize": True}
+    else:
+        dataset = {"kind": "synthetic", "classes": classes, "per_class": per_class,
+                   "input_dim": 3}
+    doc = {key: value for key, value in case.items() if key != "data"}
+    config = Path(tmp, "config.json")
+    config.write_text(json.dumps({**doc, "dataset": dataset, "model": {"hidden": [4]}}))
+    return config
+
+
 @pytest.fixture
 def smoke_config(tmp_path):
     doc = {
@@ -259,6 +280,33 @@ class TestRun:
             for name in ("metrics.csv", "summary.json", "partitions.csv"):
                 assert (tmp_path / "out" / name).is_file()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
+    @pytest.mark.parametrize("override,err", [
+        ({"test_fraction": 1e-3}, "test_fraction: must be large enough to leave a test "
+                                  "row, but 0.001 of every class rounds to none"),
+        ({"clients": 49}, "clients: must be <= 48, the training rows the split leaves"),
+    ], ids=["empty_test_split", "more_clients_than_training_rows"])
+    def test_split_mistake_is_a_config_error(self, tmp_path, capsys, kind, override, err):
+        """Only the config can fix these, so they exit 1 naming the key: a
+        synthetic set when the config is built, a CSV set once loaded. Three
+        classes of 20 rows at test_fraction 0.2 leave 48 training rows."""
+        spec = {"kind": "synthetic", "classes": 3, "per_class": 20, "input_dim": 4}
+        if kind == "csv":
+            data = tmp_path / "data.csv"
+            data.write_text(csv_text(gen_synthetic(3, 20, 4, 3.0, rng_seed=1)))
+            spec = {"kind": "csv", "path": str(data), "input_dim": 4, "classes": 3}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3, "dataset": spec, "rounds": 1,
+                                    "policy": {"kind": "top_k", "rate": 0.3},
+                                    "test_fraction": 0.2, **override}))
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                code = main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+            assert (code, capsys.readouterr().err) == (EXIT_USAGE,
+                                                       f"fedsparse: config error: {err}\n")
+        assert not (tmp_path / "out").exists()
+
     # Small configs near the edges of every run input. "rare_class_csv" is a
     # CSV of per_class rows of each class but the last, which has one row,
     # declared with 0 or 1 classes more than it has; 40 clients outnumber
@@ -299,22 +347,8 @@ class TestRun:
         errors: the same exit code and stderr both times, and the outcome is
         exit 0 with three outputs, exit 1 with one config error line naming
         its key, or exit 2 with one error line. Nothing raises out of main."""
-        kind, classes, per_class, spare = case["data"]
         with tempfile.TemporaryDirectory() as tmp:
-            if kind == "rare_class_csv":
-                ds = gen_synthetic(classes, 6, 3, 2.0, rng_seed=case["seed"])
-                rows = [np.flatnonzero(ds.labels == c)[:per_class if c < classes - 1 else 1]
-                        for c in range(classes)]
-                data = Path(tmp, "data.csv")
-                data.write_text(csv_text(ds.subset(np.sort(np.concatenate(rows)))))
-                dataset = {"kind": "csv", "path": str(data), "input_dim": 3,
-                           "classes": classes + spare, "normalize": True}
-            else:
-                dataset = {"kind": "synthetic", "classes": classes, "per_class": per_class,
-                           "input_dim": 3}
-            doc = {key: value for key, value in case.items() if key != "data"}
-            config = Path(tmp, "config.json")
-            config.write_text(json.dumps({**doc, "dataset": dataset, "model": {"hidden": [4]}}))
+            config = write_boundary_case(tmp, case)
             outcomes = []
             for action in ("default", "error"):
                 out = Path(tmp, action)
@@ -410,6 +444,57 @@ class TestSweep:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
         return path
+
+    # A grid of 1-2 values per key over a TestRun boundary draw: 1e-7 is an
+    # alpha below MIN_ALPHA and 1.5 a rate out of range for top_k and random,
+    # so a cell can fail on its own while its neighbours run.
+    GRIDS = st.fixed_dictionaries({
+        "alpha": st.lists(st.sampled_from([1e-7, 0.3, 1e3]), min_size=1, max_size=2),
+        "policy": st.lists(st.sampled_from(["top_k", "random", "threshold", "dense"]),
+                           min_size=1, max_size=2),
+        "rate": st.lists(st.sampled_from([1e-9, 0.3, 1.5]), min_size=1, max_size=1),
+    })
+
+    @given(case=TestRun.BOUNDARY_CASES, grid=GRIDS)
+    @example(case={**TestRun.PINNED, "data": ("synthetic", 3, 6, 0)},
+             grid={"alpha": [1e-7, 0.3], "policy": ["top_k"], "rate": [0.3]})
+    @example(case={**TestRun.PINNED, "data": ("rare_class_csv", 3, 6, 0), "clients": 40},
+             grid={"alpha": [0.3], "policy": ["top_k", "dense"], "rate": [0.3]})
+    @settings(max_examples=40, deadline=None)
+    def test_outcome_contract_under_either_warning_filter(self, case, grid):
+        """`sweep` in-process under the default filter and under warnings as
+        errors: the same exit code and stderr both times. Exit 1 is one config
+        error line naming its key and writes nothing; otherwise sweep.csv has
+        one row per cell, each failed cell one stderr line, and the exit code
+        is 0 with none failed, 2 with all failed and 3 with some."""
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_boundary_case(tmp, case)
+            grid_path = self.write_grid(Path(tmp), grid)
+            outcomes = []
+            for action in ("default", "error"):
+                out = Path(tmp, action)
+                err = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter(action)
+                    code = main(["sweep", str(config), "--grid", str(grid_path),
+                                 "--out", str(out), "--quiet"])
+                outcomes.append((code, err.getvalue()))
+                if code == EXIT_USAGE:
+                    assert re.fullmatch(r"fedsparse: config error: [\w.]+: [^\n]+\n",
+                                        err.getvalue())
+                    assert not out.exists()
+                    continue
+                status = [row.rsplit(",", 1)[1]
+                          for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+                assert status and set(status) <= {"ok", "failed"}
+                failed = err.getvalue().splitlines()
+                assert len(failed) == status.count("failed")
+                assert all(re.fullmatch(r"cell alpha=\S+ policy=\w+ rate=\S+ failed: .+", line)
+                           for line in failed)
+                assert code == (EXIT_OK if not failed else
+                                EXIT_RUNTIME if len(failed) == len(status) else EXIT_PARTIAL)
+            assert outcomes[0] == outcomes[1]
 
     def test_full_grid_shape(self, smoke_config, tmp_path, capsys):
         path, doc = smoke_config
@@ -574,14 +659,14 @@ class TestSweep:
     def test_all_cells_failing_is_runtime_error(self, tmp_path):
         doc = {
             "seed": 3,
-            "dataset": {"kind": "synthetic", "classes": 2, "per_class": 4,
-                        "input_dim": 3, "separation": 1.0},
+            "dataset": {"kind": "synthetic", "classes": 3, "per_class": 20,
+                        "input_dim": 4, "separation": 1.0},
             "policy": {"kind": "top_k", "rate": 0.5},
-            "rounds": 1, "local_epochs": 1, "batch_size": 4,
-            "learning_rate": 0.05, "clients": 7, "test_fraction": 0.25,
+            "rounds": 1, "local_epochs": 2, "batch_size": 8,
+            "learning_rate": 1e150, "clients": 2, "test_fraction": 0.25,
             "output_dir": str(tmp_path / "sweep_out"),
         }
-        # train split has 6 samples, fewer than the 7 clients: every cell fails
+        # a valid config whose steps overflow: every cell diverges at run time
         cfg = tmp_path / "cfg_fail.json"
         cfg.write_text(json.dumps(doc))
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.5],

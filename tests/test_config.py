@@ -11,6 +11,7 @@ from fedsparse.config import (ConfigError, CsvDataConfig, ExperimentConfig, Mode
                               SyntheticDataConfig, cell_policy, emit_config, parse_config,
                               parse_config_dict, parse_data_spec, parse_grid)
 from fedsparse.data import gen_synthetic
+from fedsparse.model import ModelSpec
 from fedsparse.partition import MIN_ALPHA, partition_dataset
 from fedsparse.sparsify import POLICY_KINDS, POLICY_PARAM, SparsityPolicy, retained_count
 
@@ -72,13 +73,45 @@ class TestDiagnostics:
                 parse_config_dict(dict(MINIMAL, **override))
 
     def test_wire_limits_checked_at_config_time(self):
-        # FSU1 carries the client id as a u16 and the round as a u32
-        assert parse_config_dict(dict(MINIMAL, clients=65535)).clients == 65535
+        # FSU1 carries the client id as a u16 and the round as a u32; 3 x 30,000
+        # samples leave 72,000 training rows, one for each of 65,536 clients
+        large = dict(MINIMAL, dataset={"kind": "synthetic", "per_class": 30_000})
+        assert parse_config_dict(dict(large, clients=65535)).clients == 65535
         assert parse_config_dict(dict(MINIMAL, rounds=2 ** 32 - 1)).rounds == 2 ** 32 - 1
         with pytest.raises(ConfigError, match=r"^clients: must be <= 65535"):
-            parse_config_dict(dict(MINIMAL, clients=65536))
+            parse_config_dict(dict(large, clients=65536))
         with pytest.raises(ConfigError, match=r"^rounds: must be <= 4294967295"):
             parse_config_dict(dict(MINIMAL, rounds=2 ** 32))
+
+    def test_split_rules_checked_at_config_time(self):
+        """A synthetic set's split is known from the config: 3 classes of 100
+        rows give round(100 * test_fraction) test rows per class."""
+        assert parse_config_dict(dict(MINIMAL, test_fraction=0.005)).test_fraction == 0.005
+        with pytest.raises(ConfigError, match=r"^test_fraction: must be large enough to "
+                                              r"leave a test row, but 0\.004 of every "
+                                              r"class rounds to none$"):
+            parse_config_dict(dict(MINIMAL, test_fraction=0.004))
+        # 240 training rows: one per client at most
+        assert parse_config_dict(dict(MINIMAL, clients=240)).clients == 240
+        with pytest.raises(ConfigError, match=r"^clients: must be <= 240, the training "
+                                              r"rows the split leaves$"):
+            parse_config_dict(dict(MINIMAL, clients=241))
+        with pytest.raises(ConfigError, match=r"^clients: must be <= 3,"):
+            parse_config_dict(dict(MINIMAL, clients=4, test_fraction=0.999,
+                                   dataset={"kind": "synthetic", "per_class": 2}))
+        # a loaded CSV set whose every class is one row: no test_fraction helps
+        cfg = parse_config_dict(dict(MINIMAL, test_fraction=0.999))
+        with pytest.raises(ConfigError, match=r"^dataset: every class has a single row"):
+            cfg.check_split([1, 1, 1])
+        cfg.check_split([1, 1, 2])
+
+    def test_model_spec_is_the_run_shape(self):
+        cfg = parse_config_dict(dict(MINIMAL, seed=5, model={"hidden": [6, 2],
+                                                             "activation": "tanh"},
+                                     dataset={"kind": "synthetic", "classes": 4,
+                                              "input_dim": 9}))
+        assert cfg.model_spec == ModelSpec((9, 6, 2, 4), "tanh", 5)
+        assert replace(cfg, seed=8).model_spec.seed == 8
 
     def test_model_size_limit_checked_at_config_time(self):
         # FSU1 indices are u32: 2**32 params (largest index 2**32 - 1) fit.
@@ -145,7 +178,8 @@ class TestOneOwner:
         {"alpha": -1.0}, {"sparsify_site": "midway"}, {"rounds": 0},
         {"rounds": 2 ** 32}, {"local_epochs": 0}, {"batch_size": 0},
         {"participation": 0.0}, {"participation": 1.5}, {"test_fraction": 0.0},
-        {"test_fraction": 1.0}, {"alpha": 1e-7},
+        {"test_fraction": 1.0}, {"alpha": 1e-7}, {"test_fraction": 1e-3},
+        {"clients": 241},
     ])
     def test_replace_raises_the_parse_message(self, override):
         base = parse_config_dict(dict(MINIMAL))

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsparse.config import class_test_count
 from fedsparse.data import (Dataset, csv_text, gen_synthetic, load_csv, normalize,
                             train_test_split)
 from fedsparse.model import ModelSpec, evaluate, init_params
@@ -221,6 +224,23 @@ class TestSplit:
             train, test = train_test_split(ds, 0.4, rng_seed=15)
         assert 1 in train.labels
         assert 1 not in test.labels
+
+    @given(sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4).filter(any),
+           fraction=st.floats(1e-3, 0.999))
+    @settings(max_examples=60, deadline=None)
+    def test_per_class_test_count_is_the_config_rule(self, sizes, fraction):
+        """Each nonempty class gives config.class_test_count test rows, the
+        count ExperimentConfig.check_split reads; all zero is an error."""
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        ds = Dataset(np.zeros((len(labels), 1)), labels, class_count=len(sizes))
+        expected = [class_test_count(n, fraction) if n else 0 for n in sizes]
+        if sum(expected) == 0:
+            with pytest.raises(ValueError, match="empty test split"):
+                train_test_split(ds, fraction, rng_seed=0)
+            return
+        train, test = train_test_split(ds, fraction, rng_seed=0)
+        assert np.bincount(test.labels, minlength=len(sizes)).tolist() == expected
+        assert len(train) + len(test) == len(ds)
 
     def test_fraction_bounds(self):
         ds = gen_synthetic(2, 10, 3, 1.0, rng_seed=16)

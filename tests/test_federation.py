@@ -627,8 +627,7 @@ class TestRunExperiment:
 
         from fedsparse.federation import build_dataset
         train, _ = build_dataset(config)
-        spec = ModelSpec((train.input_dim, *config.model.hidden, train.class_count),
-                         config.model.activation, config.seed)
+        spec = config.model_spec
         w = init_params(spec)
         for t in range(3):
             rng = np.random.default_rng([config.seed, 2, 0, t])

@@ -1,5 +1,6 @@
 """Model-core tests: forward/loss/backprop against independent oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -130,20 +131,31 @@ class TestSpecAndInit:
             ModelSpec((4, 2), activation="sigmoid")
 
 
-def test_model_loads_no_data_module():
-    """model names Dataset for type checkers only: data imports config, which
-    imports model, so a run-time import would close a cycle. The package
-    __init__ imports every module, so a bare package stands in for it."""
+def _modules_after(statement: str) -> list[str]:
+    """The fedsparse and numpy modules a fresh interpreter holds after
+    running statement, with this package first on its path."""
     import fedsparse
-    script = ("import sys, types\n"
-              "pkg = types.ModuleType('fedsparse')\n"
-              f"pkg.__path__ = [{os.path.dirname(fedsparse.__file__)!r}]\n"
-              "sys.modules['fedsparse'] = pkg\n"
-              "import fedsparse.model\n"
-              "print(sorted(m for m in sys.modules if m.startswith('fedsparse.')))\n")
+    src = os.path.dirname(os.path.dirname(fedsparse.__file__))
+    script = (f"import json, sys\nsys.path.insert(0, {src!r})\n{statement}\n"
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.split('.')[0] in ('fedsparse', 'numpy'))))\n")
     out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                          text=True).stdout
-    assert out.strip() == "['fedsparse.model']"
+    return json.loads(out)
+
+
+def test_model_loads_no_data_module():
+    """model names Dataset for type checkers only: data imports config, which
+    imports model, so a run-time import would close a cycle."""
+    loaded = _modules_after("import fedsparse.model")
+    assert [m for m in loaded if m.startswith("fedsparse")] == ["fedsparse", "fedsparse.model"]
+
+
+def test_package_import_loads_no_submodule():
+    """The package holds only its version: each name is imported from the
+    module that defines it, and `import fedsparse` loads neither a
+    submodule nor numpy."""
+    assert _modules_after("import fedsparse") == ["fedsparse"]
 
 
 class TestForward:
