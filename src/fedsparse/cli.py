@@ -25,7 +25,7 @@ from . import __version__
 from .config import (ConfigError, ExperimentConfig, cell_policy, emit_config, parse_config,
                      parse_data_spec, parse_grid)
 from .data import csv_text, gen_synthetic
-from .federation import RoundMetrics, ServerState, run_experiment
+from .federation import RoundMetrics, ServerState, build_dataset, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,7 +115,7 @@ def _cmd_run(args) -> int:
 
     if args.stream:
         print(f"{METRICS_HEADER},elapsed_s", flush=True)
-    result = run_experiment(cfg, on_round=stream)
+    result = run_experiment(cfg, *build_dataset(cfg), on_round=stream)
     _write_run_outputs(out_dir, cfg, result)
     if not args.quiet:
         print(f"rounds={len(result.history)} "
@@ -127,16 +127,16 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_cell(base: ExperimentConfig, out_root: str, index: int,
+def _run_cell(base: ExperimentConfig, data: tuple, out_root: str, index: int,
               alpha: float, kind: str, rate: float):
-    """Build and run one sweep cell; raises on any invalid cell parameter."""
+    """Run one sweep cell on the shared split; raises on any invalid cell parameter."""
     cfg = replace(
         base,
         alpha=alpha,
         policy=cell_policy(kind, rate),
         output_dir=os.path.join(out_root, "cells", f"cell_{index:03d}"),
     )
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, *data)
     _write_run_outputs(cfg.output_dir, cfg, result)
     # the downlink is the same for every policy, so only the uplink is reported
     return result.final_accuracy, result.total_uplink_bytes
@@ -163,6 +163,8 @@ def _pivot_table(pivot: dict) -> str:
 def _cmd_sweep(args) -> int:
     base = _apply_seed_env(parse_config(args.config))
     cells = parse_grid(args.grid)
+    # the build reads no key a cell changes (alpha, policy, output_dir)
+    data = build_dataset(base)
     out_root = args.out if args.out else base.output_dir
 
     lines = [SWEEP_HEADER]
@@ -175,10 +177,10 @@ def _cmd_sweep(args) -> int:
             # imported here so that `run` and serial sweeps load no process pool
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            outcomes = [pool.submit(_run_cell, base, out_root, i, *cell).result
+            outcomes = [pool.submit(_run_cell, base, data, out_root, i, *cell).result
                         for i, cell in enumerate(cells)]
         else:
-            outcomes = [functools.partial(_run_cell, base, out_root, i, *cell)
+            outcomes = [functools.partial(_run_cell, base, data, out_root, i, *cell)
                         for i, cell in enumerate(cells)]
         for (alpha, kind, rate), outcome in zip(cells, outcomes):
             try:

@@ -157,9 +157,9 @@ class ExperimentConfig:
 
     def check_split(self, class_sizes) -> None:
         """The rules on the sizes of a dataset's nonempty classes that only the
-        config can fix: the stratified split leaves a test row, and a
-        training row for every client. A synthetic dataset's sizes are known
-        here; a CSV dataset is checked once loaded."""
+        config can fix: the stratified split leaves a test row, a training
+        row for every client, and two to normalize by. A synthetic dataset's
+        sizes are known here; a CSV dataset is checked once loaded."""
         _require(max(class_sizes) >= 2, "dataset",
                  "every class has a single row, which stays in train, so no "
                  "test_fraction leaves a test row")
@@ -170,6 +170,9 @@ class ExperimentConfig:
         train_rows = sum(class_sizes) - test_rows
         _require(train_rows >= self.clients, "clients",
                  f"must be <= {train_rows}, the training rows the split leaves")
+        if isinstance(self.dataset, CsvDataConfig) and self.dataset.normalize:
+            _require(train_rows >= 2, "dataset.normalize",
+                     f"needs at least two training rows, the split leaves {train_rows}")
 
 
 def class_test_count(class_size: int, test_fraction: float) -> int:

@@ -344,11 +344,11 @@ def build_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def run_experiment(config: ExperimentConfig, on_round=None) -> ServerState:
-    """End-to-end run: data, split, partition, T rounds. Deterministic
-    given config.seed (clients train serially)."""
+def run_experiment(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset,
+                   on_round=None) -> ServerState:
+    """Partition and T rounds on build_dataset(config)'s split; wall_time_s
+    times this call. Deterministic given config.seed (serial clients)."""
     start = time.perf_counter()
-    train_ds, test_ds = build_dataset(config)
     partitions = partition_dataset(train_ds.labels, config.clients, config.alpha,
                                    [config.seed, _PARTITION_TAG])
     spec = config.model_spec

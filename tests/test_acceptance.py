@@ -58,7 +58,8 @@ def final_accuracy(seed, alpha, policy):
 
 @functools.lru_cache(maxsize=None)
 def _final_accuracy(seed, alpha, policy_items):
-    return run_experiment(task_config(seed, alpha, dict(policy_items))).final_accuracy
+    config = task_config(seed, alpha, dict(policy_items))
+    return run_experiment(config, *build_dataset(config)).final_accuracy
 
 
 def test_criterion_1_gradient_correctness():

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsparse
+from fedsparse import cli, federation
 from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from fedsparse.config import parse_config
 from fedsparse.federation import build_dataset, run_experiment
@@ -95,7 +96,8 @@ class TestRun:
         assert lines[0] == "sample_index,client_id"
         pairs = [tuple(map(int, line.split(","))) for line in lines[1:]]
         assert [i for i, _ in pairs] == list(range(48))  # sorted, each sample once
-        parts = run_experiment(parse_config(path)).partitions
+        cfg = parse_config(path)
+        parts = run_experiment(cfg, *build_dataset(cfg)).partitions
         lookup = {int(i): p.client_id for p in parts for i in p.sample_indices}
         assert all(lookup[i] == c for i, c in pairs)
 
@@ -463,24 +465,30 @@ class TestSweep:
     @settings(max_examples=40, deadline=None)
     def test_outcome_contract_under_either_warning_filter(self, case, grid):
         """`sweep` in-process under the default filter and under warnings as
-        errors: the same exit code and stderr both times. Exit 1 is one config
-        error line naming its key and writes nothing; otherwise sweep.csv has
-        one row per cell, each failed cell one stderr line, and the exit code
-        is 0 with none failed, 2 with all failed and 3 with some."""
+        errors: the same exit code and stderr both times. Exit 1 comes exactly
+        when `run` on the drawn config exits 1, with its one config error
+        line, and writes nothing; otherwise sweep.csv has one row per cell,
+        each failed cell one stderr line, and the exit code is 0 with none
+        failed, 2 with all failed and 3 with some."""
         with tempfile.TemporaryDirectory() as tmp:
             config = write_boundary_case(tmp, case)
             grid_path = self.write_grid(Path(tmp), grid)
             outcomes = []
             for action in ("default", "error"):
                 out = Path(tmp, action)
-                err = io.StringIO()
-                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-                        contextlib.redirect_stdout(io.StringIO()):
+                err, run_err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
                     warnings.simplefilter(action)
-                    code = main(["sweep", str(config), "--grid", str(grid_path),
-                                 "--out", str(out), "--quiet"])
+                    with contextlib.redirect_stderr(run_err):
+                        run_code = main(["run", str(config), "--out", str(Path(tmp, "run")),
+                                         "--quiet"])
+                    with contextlib.redirect_stderr(err):
+                        code = main(["sweep", str(config), "--grid", str(grid_path),
+                                     "--out", str(out), "--quiet"])
                 outcomes.append((code, err.getvalue()))
+                assert (code == EXIT_USAGE) == (run_code == EXIT_USAGE)
                 if code == EXIT_USAGE:
+                    assert err.getvalue() == run_err.getvalue()
                     assert re.fullmatch(r"fedsparse: config error: [\w.]+: [^\n]+\n",
                                         err.getvalue())
                     assert not out.exists()
@@ -811,6 +819,85 @@ class TestSweep:
                      "--jobs", jobs]) == EXIT_USAGE
         assert "argument --jobs: must be" in capsys.readouterr().err
         assert not os.path.exists(doc["output_dir"])
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_dataset_is_built_once(self, smoke_config, tmp_path, monkeypatch, jobs):
+        """Four cells, one build from the base config, in process or through
+        the pool (the in-process stand-in, so every build is counted). Both
+        names are counted: cli's, which the sweep calls, and federation's,
+        which a build left inside the run would call."""
+        requested = self.record_pool(monkeypatch)
+        builds = []
+
+        def counting(config):
+            builds.append(config)
+            return build_dataset(config)
+
+        monkeypatch.setattr(cli, "build_dataset", counting)
+        monkeypatch.setattr(federation, "build_dataset", counting)
+        path, doc = smoke_config
+        grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8], "rate": [0.2],
+                                          "policy": ["top_k", "dense"]})
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--jobs", jobs]) == EXIT_OK
+        assert len(os.listdir(Path(doc["output_dir"], "cells"))) == 4
+        assert [(c.seed, c.alpha, c.policy) for c in builds] == \
+            [(doc["seed"], doc["alpha"], parse_config(path).policy)]
+        assert requested == ([] if jobs == "1" else [3])
+
+    @staticmethod
+    def write_input_mistake(tmp_path, mistake):
+        """A config whose input fails before round 0, and the outcome `run`
+        gives it: exit code and its one stderr line."""
+        dataset = {"kind": "csv", "path": str(tmp_path / "data.csv"), "input_dim": 2,
+                   "classes": 2}
+        doc = {"seed": 3, "dataset": dataset, "policy": {"kind": "top_k", "rate": 0.3},
+               "rounds": 1, "batch_size": 8}
+        if mistake == "csv_split":  # 11 training rows for 40 clients
+            config = write_boundary_case(str(tmp_path), {
+                **TestRun.PINNED, "data": ("rare_class_csv", 3, 6, 0), "clients": 40})
+            return config, (EXIT_USAGE, "fedsparse: config error: clients: must be <= 11, "
+                                        "the training rows the split leaves\n")
+        if mistake == "missing_csv":
+            expected = (EXIT_RUNTIME, f"fedsparse: error: [Errno 2] No such file or "
+                                      f"directory: {dataset['path']!r}\n")
+        elif mistake == "malformed_row":
+            Path(dataset["path"]).write_text("0.5,1.0,0\n0.25,1\n1.5,2.0,1\n")
+            expected = (EXIT_RUNTIME, f"fedsparse: error: {dataset['path']}:2: expected 3 "
+                                      f"columns, got 2\n")
+        else:  # normalize by one training row: two rows of class 0, half to test
+            Path(dataset["path"]).write_text("0.5,1.0,0\n1.5,2.0,0\n")
+            dataset["normalize"] = True
+            doc.update(clients=1, test_fraction=0.5)
+            expected = (EXIT_USAGE, "fedsparse: config error: dataset.normalize: needs at "
+                                    "least two training rows, the split leaves 1\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        return config, expected
+
+    @pytest.mark.parametrize("mistake", ["csv_split", "missing_csv", "malformed_row",
+                                         "normalize_one_training_row"])
+    def test_input_mistake_ends_a_sweep_as_it_ends_a_run(self, tmp_path, monkeypatch,
+                                                         capsys, mistake):
+        """The sweep builds its input once, before any cell or pool starts, so
+        a mistake in it gives `run`'s exit code and single stderr line under
+        either warning filter, and the sweep writes nothing."""
+        requested = self.record_pool(monkeypatch)
+        config, expected = self.write_input_mistake(tmp_path, mistake)
+        grid = self.write_grid(tmp_path, {"alpha": [0.3, 0.6], "rate": [0.3],
+                                          "policy": ["top_k", "random"]})
+        out = tmp_path / "out"
+        for action in ("default", "error"):
+            outcomes = []
+            for argv in (["run", str(config)],
+                         ["sweep", str(config), "--grid", str(grid), "--jobs", "3"]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action)
+                    code = main([*argv, "--out", str(out), "--quiet"])
+                outcomes.append((code, capsys.readouterr().err))
+            assert outcomes == [expected] * 2, action
+        assert not out.exists()
+        assert requested == []
 
 
 def test_outputs_get_the_umask_mode(smoke_config, tmp_path):

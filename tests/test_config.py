@@ -105,6 +105,19 @@ class TestDiagnostics:
             cfg.check_split([1, 1, 1])
         cfg.check_split([1, 1, 2])
 
+    def test_normalize_needs_two_training_rows(self):
+        """A normalized CSV set is scaled by its training rows' spread, so a
+        split that leaves one training row is a config error naming the key;
+        the same split unnormalized runs."""
+        csv = {"kind": "csv", "path": "x.csv", "input_dim": 2, "classes": 2}
+        cfg = parse_config_dict(dict(MINIMAL, clients=1, test_fraction=0.5,
+                                     dataset=dict(csv, normalize=True)))
+        with pytest.raises(ConfigError, match=r"^dataset\.normalize: needs at least two "
+                                              r"training rows, the split leaves 1$"):
+            cfg.check_split([2])
+        cfg.check_split([4])
+        replace(cfg, dataset=replace(cfg.dataset, normalize=False)).check_split([2])
+
     def test_model_spec_is_the_run_shape(self):
         cfg = parse_config_dict(dict(MINIMAL, seed=5, model={"hidden": [6, 2],
                                                              "activation": "tanh"},

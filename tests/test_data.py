@@ -175,6 +175,13 @@ class TestNormalize:
         out, _ = normalize(ds, ds)
         assert np.all(out.inputs[:, 0] == 0.0)
 
+    def test_one_training_row_is_rejected(self):
+        """Direct callers get a ValueError; a run's config rejects the split
+        first (ExperimentConfig.check_split)."""
+        ds = gen_synthetic(2, 5, 3, 2.0, rng_seed=3)
+        with pytest.raises(ValueError, match="^normalize needs at least two samples$"):
+            normalize(ds.subset([0]), ds)
+
     def test_stats_apply_to_held_out_data(self):
         train = gen_synthetic(2, 50, 3, 2.0, rng_seed=5)
         test = gen_synthetic(2, 10, 3, 2.0, rng_seed=6)

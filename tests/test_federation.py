@@ -1,8 +1,11 @@
 """Federated round mechanics: local training, aggregation, metering."""
 
 import math
+import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +14,14 @@ from hypothesis import strategies as st
 
 from fedsparse import federation
 from fedsparse.config import ExperimentConfig, SyntheticDataConfig, parse_config_dict
-from fedsparse.data import Dataset, gen_synthetic
+from fedsparse.data import Dataset, csv_text, gen_synthetic
 from fedsparse.federation import (ClientState, ClientUpdate, ServerState,
                                   TrainingDiverged, aggregate, client_local_train,
-                                  global_loss, run_experiment, run_round)
+                                  build_dataset, global_loss, run_experiment, run_round)
 from fedsparse.model import (ModelSpec, backward, evaluate, group_losses, init_params,
                              param_count, unpack_params)
 from fedsparse.model import loss as model_loss
-from fedsparse.partition import Partition, partition_dataset
+from fedsparse.partition import MIN_ALPHA, Partition, partition_dataset
 from fedsparse.sparsify import SparsityPolicy, encode, encoded_size, retained_count
 from oracles import decode, gradient, local_train
 
@@ -592,8 +595,12 @@ class TestRunExperiment:
         doc.update(overrides)
         return parse_config_dict(doc)
 
+    def run(self, **overrides):
+        config = self.base_config(**overrides)
+        return run_experiment(config, *build_dataset(config))
+
     def test_smoke_single_round(self):
-        result = run_experiment(self.base_config(rounds=1))
+        result = self.run(rounds=1)
         assert len(result.history) == 1
         m = result.history[0]
         assert m.round == 0
@@ -603,8 +610,8 @@ class TestRunExperiment:
         assert np.isfinite(result.global_params).all()
 
     def test_deterministic_history(self):
-        a = run_experiment(self.base_config())
-        b = run_experiment(self.base_config())
+        a = self.run()
+        b = self.run()
         for ma, mb in zip(a.history, b.history):
             assert ma.global_loss == mb.global_loss
             assert ma.top1_accuracy == mb.top1_accuracy
@@ -613,7 +620,7 @@ class TestRunExperiment:
         assert np.array_equal(a.global_params, b.global_params)
 
     def test_totals_match_history(self):
-        result = run_experiment(self.base_config())
+        result = self.run()
         assert result.total_uplink_bytes == sum(m.uplink_bytes for m in result.history)
         assert result.total_downlink_bytes == sum(m.downlink_bytes
                                                   for m in result.history)
@@ -623,10 +630,9 @@ class TestRunExperiment:
         plain SGD loop (same per-round batch schedule) bit for bit."""
         config = self.base_config(clients=1, rounds=3,
                                   policy={"kind": "top_k", "rate": 1.0})
-        result = run_experiment(config)
+        train, test = build_dataset(config)
+        result = run_experiment(config, train, test)
 
-        from fedsparse.federation import build_dataset
-        train, _ = build_dataset(config)
         spec = config.model_spec
         w = init_params(spec)
         for t in range(3):
@@ -651,8 +657,8 @@ class TestRunExperiment:
 
         def rows(site, policy):
             batches.clear()
-            server = run_experiment(self.base_config(sparsify_site=site, policy=policy,
-                                                     rounds=2, local_epochs=3, batch_size=4))
+            server = self.run(sparsify_site=site, policy=policy, rounds=2, local_epochs=3,
+                              batch_size=4)
             return list(batches), [len(p) for p in server.partitions]
 
         reference, sizes = rows("uploaded_delta", {"kind": "top_k", "rate": 0.2})
@@ -677,9 +683,54 @@ class TestRunExperiment:
         """Every policy that keeps all coordinates, at either site, trains
         the same model bit for bit as dense uploaded_delta."""
         common = {"seed": 3, "rounds": 5, "local_epochs": 5}
-        dense = run_experiment(self.base_config(policy={"kind": "dense"}, **common))
-        other = run_experiment(self.base_config(sparsify_site=site, policy=policy,
-                                                **common))
+        dense = self.run(policy={"kind": "dense"}, **common)
+        other = self.run(sparsify_site=site, policy=policy, **common)
         assert np.array_equal(other.global_params, dense.global_params)
         assert ([m.csv_row() for m in other.history]
                 == [m.csv_row() for m in dense.history])
+
+
+class TestBuildDataset:
+    # Small synthetic and CSV tasks, and the keys a sweep cell changes.
+    TASKS = st.fixed_dictionaries({
+        "kind": st.sampled_from(["synthetic", "csv"]),
+        "classes": st.integers(2, 4),
+        "per_class": st.integers(2, 8),
+        "input_dim": st.integers(1, 4),
+        "normalize": st.booleans(),
+        "seed": st.integers(0, 3),
+        "test_fraction": st.sampled_from([0.3, 0.5, 0.9]),
+    })
+    CELLS = st.fixed_dictionaries({
+        "alpha": st.sampled_from([MIN_ALPHA, 0.3, 1e3]),
+        "policy": st.sampled_from([SparsityPolicy("top_k", rate=1e-9),
+                                   SparsityPolicy("random", rate=0.5),
+                                   SparsityPolicy("threshold", tau=1e9),
+                                   SparsityPolicy("dense")]),
+        "output_dir": st.text(min_size=1, max_size=8),
+    })
+
+    @given(task=TASKS, cell=CELLS)
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_cell_keys_do_not_reach_the_build(self, task, cell):
+        """A sweep builds its split once from the base config and runs every
+        cell on it, which holds only while the build reads no key a cell
+        changes: each cell's own build is bit-identical to the base's."""
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = {"kind": "synthetic", "classes": task["classes"],
+                       "per_class": task["per_class"], "input_dim": task["input_dim"]}
+            if task["kind"] == "csv":
+                path = Path(tmp, "data.csv")
+                path.write_text(csv_text(gen_synthetic(task["classes"], task["per_class"],
+                                                       task["input_dim"], 2.0,
+                                                       rng_seed=task["seed"])))
+                dataset = {"kind": "csv", "path": str(path), "input_dim": task["input_dim"],
+                           "classes": task["classes"], "normalize": task["normalize"]}
+            base = parse_config_dict({"seed": task["seed"], "dataset": dataset,
+                                      "policy": {"kind": "top_k", "rate": 0.3}, "clients": 1,
+                                      "test_fraction": task["test_fraction"]})
+            built = build_dataset(base)
+            for ds, other in zip(built, build_dataset(replace(base, **cell))):
+                assert ds.class_count == other.class_count
+                for a, b in ((ds.inputs, other.inputs), (ds.labels, other.labels)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
