@@ -50,7 +50,7 @@ _PARTITION_TAG = 12
 
 
 class TrainingDiverged(RuntimeError):
-    """A client produced non-finite parameters during local training."""
+    """A client step, the round's average or its loss turned non-finite."""
 
 
 @dataclass
@@ -303,13 +303,15 @@ def run_round(server: ServerState, clients: list[ClientState], cfg: ExperimentCo
     uplink = sum(u.uplink_bytes for u in updates)
 
     partitions = [c.partition for c in clients]
-    # A finite model near the float64 limit can overflow here; that reads as
-    # a non-finite loss, and the next round's per-step check stops the run.
+    # A finite model near the float64 limit can overflow here, and a
+    # non-finite loss stops the run as a non-finite model does.
     with np.errstate(over="ignore", invalid="ignore"):
         aggregated = aggregate(updates, server.global_params)
         if not np.isfinite(aggregated).all():
             raise TrainingDiverged(f"aggregated parameters non-finite in round {t}")
         loss_value = global_loss(model_spec, aggregated, train_ds, partitions)
+        if not np.isfinite(loss_value):
+            raise TrainingDiverged(f"global loss non-finite in round {t}")
         accuracy = model_ops.evaluate(model_spec, aggregated, test_ds)
 
     metrics = RoundMetrics(

@@ -7,12 +7,15 @@ Dataset rules and the fit and parameter-length checks that the client loop
 runs once per call, so a test can take one batch's gradient from a flat
 vector and labels. fitted builds the Dataset both run behind. local_train
 is federation.client_local_train's upload as a plain loop over gradient
-and sparsify, checked after every step, for the replay that names a
-diverging batch. finite_diff_grad checks model.backward;
-log_gamma, DirichletParams, sample_dirichlet and dirichlet_log_pdf check
-the Dirichlet sampler that partition.partition_dataset draws client
-proportions from. Log-Gamma uses the 9-coefficient Lanczos approximation
-with reflection for x < 0.5. decode reads the FSU1 layout the README
+and sparsify, checked after every step, so it fails at the batch the
+package's replay names. oracle_run is federation.run_experiment as one
+serial loop over local_train, with none of federation's round code: the
+reference the tests hold the whole run to. finite_diff_grad checks
+model.backward; log_gamma, DirichletParams, sample_dirichlet and
+dirichlet_log_pdf check the Dirichlet sampler that
+partition.partition_dataset draws client proportions from. Log-Gamma
+uses the 9-coefficient Lanczos approximation with reflection for
+x < 0.5. decode reads the FSU1 layout the README
 documents, spelled out here rather than taken from sparsify, so the tests
 check sparsify.encode against the documented table; update_fields
 compares two updates field by field.
@@ -28,9 +31,9 @@ import numpy as np
 
 from fedsparse.data import Dataset
 from fedsparse.federation import TrainingDiverged
-from fedsparse.model import (ModelSpec, _activations, backward, check_fit, loss, param_count,
-                             unpack_params)
-from fedsparse.partition import Partition, _sample_proportions
+from fedsparse.model import (ModelSpec, _activations, backward, check_fit, init_params, loss,
+                             param_count, unpack_params)
+from fedsparse.partition import Partition, _sample_proportions, partition_dataset
 from fedsparse.sparsify import SparseUpdate, sparsify
 
 
@@ -101,6 +104,52 @@ def local_train(partition: Partition, global_params: np.ndarray, cfg, spec: Mode
             return np.arange(w.shape[0]), w
         keep = sparsify(delta, cfg.policy, key)
         return keep, w[keep]
+
+
+def oracle_run(cfg, train_ds: Dataset, test_ds: Dataset) -> tuple[str, np.ndarray]:
+    """The metrics.csv text and final parameters of federation.run_experiment
+    on this split, as one plain serial loop, or the TrainingDiverged it
+    raises. Each round draws ceil(participation * N) clients (less a 1e-9
+    slack, as for retained counts) from stream tag 1, trains each selected
+    client with local_train, writes the aggregate out in client-id order
+    (copy, write the upload, scale by n_i over the selected clients' rows,
+    add), checks it and the loss, and meters 27 + 8m bytes per upload of m
+    entries and one dense broadcast per selected client. The loss is the
+    n_i / n-weighted sum, left to right, of one loss call per partition; the
+    accuracy an argmax over forward. Calls nothing of federation but
+    TrainingDiverged."""
+    spec = cfg.model_spec
+    parts = partition_dataset(train_ds.labels, cfg.clients, cfg.alpha, [cfg.seed, 12])
+    n = sum(len(p) for p in parts)
+    w = init_params(spec)
+    rows = ["round,global_loss,top1_accuracy,uplink_bytes,downlink_bytes"]
+    for t in range(cfg.rounds):
+        k = max(1, math.ceil(cfg.participation * len(parts) - 1e-9))
+        rng = np.random.default_rng([cfg.seed, 1, t])
+        selected = sorted(int(i) for i in rng.choice(len(parts), size=k, replace=False))
+        uploads = [(parts[c], local_train(parts[c], w, cfg, spec, train_ds, t))
+                   for c in selected]
+        picked = sum(len(p) for p, _ in uploads)
+        uplink = sum(27 + 8 * len(keep) for _, (keep, _) in uploads)
+        aggregated = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, (keep, values) in uploads:
+                model = w.copy()
+                model[keep] = values
+                model *= len(p) / picked
+                aggregated = model if aggregated is None else aggregated + model
+            if not np.isfinite(aggregated).all():
+                raise TrainingDiverged(f"aggregated parameters non-finite in round {t}")
+            w = aggregated
+            value = 0.0
+            for p in parts:
+                value += (len(p) / n) * loss(spec, w, train_ds.subset(p.sample_indices))
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"global loss non-finite in round {t}")
+            hits = np.argmax(forward(spec, w, test_ds.inputs), axis=1) == test_ds.labels
+        rows.append(f"{t},{value!r},{int(hits.sum()) / len(test_ds)!r},"
+                    f"{uplink},{k * (27 + 8 * w.shape[0])}")
+    return "\n".join(rows) + "\n", w
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

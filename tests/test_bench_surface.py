@@ -14,8 +14,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture
-def harness(monkeypatch):
+def load_harness(monkeypatch):
     """perfbench/run.py imported read-only (nothing in it runs at import)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
@@ -24,6 +23,11 @@ def harness(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    return load_harness(monkeypatch)
 
 
 def test_traced_and_probed_names_resolve(harness):

@@ -118,9 +118,10 @@ class TestRun:
     @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
     def test_diverging_run_exits_2_under_warnings_as_errors(self, smoke_config, site,
                                                             batch):
-        """A batch of 64 takes the whole partition, so each round is one step
-        and the run first meets a huge but finite model in the codec and the
-        round's evaluation; both stay quiet and the next step's check fails."""
+        """A batch of 64 takes the whole partition, so each round is one step.
+        Round 0's steps leave a huge but finite model, which the codec and the
+        average pass quietly; round 1's steps leave one whose loss overflows,
+        and that non-finite loss stops the run before any round 2 step."""
         path, doc = smoke_config
         path.write_text(json.dumps({**doc, "sparsify_site": site, "batch_size": batch,
                                     "rounds": 3, "learning_rate": 1e150}))
@@ -132,8 +133,32 @@ class TestRun:
             env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"))
         assert proc.returncode == EXIT_RUNTIME
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
-        assert re.fullmatch(r"fedsparse: error: client \d+: non-finite (gradient|parameters) "
-                            r"in round \d+, epoch \d+, batch \d+\n", proc.stderr)
+        if batch == 64:
+            assert proc.stderr == "fedsparse: error: global loss non-finite in round 1\n"
+        else:
+            assert re.fullmatch(r"fedsparse: error: client \d+: non-finite "
+                                r"(gradient|parameters) in round \d+, epoch \d+, batch \d+\n",
+                                proc.stderr)
+
+    @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
+    def test_non_finite_loss_in_the_last_round_exits_2(self, tmp_path, capsys, site):
+        """One round of one step at lr 1e160 leaves finite models whose loss
+        overflows. No later client step is left to stop the run, so the
+        round's loss check does: exit 2 under either warning filter, and no
+        metrics.csv with a nan loss."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "seed": 4, "dataset": {"kind": "synthetic", "classes": 3, "per_class": 20,
+                                   "input_dim": 4},
+            "policy": {"kind": "top_k", "rate": 0.3}, "sparsify_site": site, "rounds": 1,
+            "local_epochs": 1, "batch_size": 64, "learning_rate": 1e160}))
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                code = main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+            assert (code, capsys.readouterr().err) == (
+                EXIT_RUNTIME, "fedsparse: error: global loss non-finite in round 0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_finite_but_huge_model_ends_normally(self, tmp_path):
         """Only non-finite values stop a run: one step at lr 1e150 leaves a

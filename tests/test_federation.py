@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsparse import federation
+from fedsparse.cli import _metrics_csv
 from fedsparse.config import ExperimentConfig, SyntheticDataConfig, parse_config_dict
 from fedsparse.data import Dataset, csv_text, gen_synthetic
 from fedsparse.federation import (ClientState, ClientUpdate, ServerState,
@@ -23,7 +24,8 @@ from fedsparse.model import (ModelSpec, backward, evaluate, group_losses, init_p
 from fedsparse.model import loss as model_loss
 from fedsparse.partition import MIN_ALPHA, Partition, partition_dataset
 from fedsparse.sparsify import SparsityPolicy, encode, encoded_size, retained_count
-from oracles import decode, gradient, local_train
+from oracles import decode, gradient, oracle_run
+from test_bench_surface import load_harness
 
 
 def make_setup(n=30, input_dim=4, classes=3, seed=0):
@@ -72,32 +74,6 @@ class TestClientLocalTrain:
         [sent] = wire
         assert np.array_equal(sent.values, expected)
         assert update.sample_count == 6
-
-    def test_local_gradient_trace_matches_reference(self):
-        """Step-by-step reimplementation: sparsify, scatter, subtract."""
-        ds, spec = make_setup(n=24, seed=3)
-        cfg = cfg_with(SparsityPolicy("top_k", rate=0.2), site="local_gradient",
-                       epochs=2, batch=8, lr=0.05)
-        client = single_client(ds)
-        w0 = init_params(spec)
-        update = client_local_train(client, w0, cfg, spec, ds, round_index=2)
-
-        w = w0.copy()
-        rng = np.random.default_rng([cfg.seed, 2, 0, 2])
-        d = w.shape[0]
-        m = max(1, math.ceil(0.2 * d - 1e-9))
-        for _ in range(2):
-            order = rng.permutation(24)
-            for start in range(0, 24, 8):
-                batch = order[start:start + 8]
-                g = gradient(spec, w, ds.inputs[batch], ds.labels[batch])
-                keep = np.sort(np.argsort(-np.abs(g), kind="stable")[:m])
-                dense = np.zeros(d)
-                dense[keep] = g[keep]
-                w = w - cfg.learning_rate * dense
-        assert np.array_equal(update.indices, np.arange(d))
-        assert np.array_equal(update.values, w)
-        assert update.uplink_bytes == encoded_size(d)
 
     @pytest.mark.parametrize("policy", [
         SparsityPolicy("top_k", rate=0.2), SparsityPolicy("threshold", tau=1e-3),
@@ -150,46 +126,6 @@ class TestClientLocalTrain:
                            match=r"^client 0: non-finite \w+ in round 0, epoch 0, batch \d+$"):
             client_local_train(single_client(ds), init_params(spec), cfg, spec, ds)
 
-    @given(st.sampled_from(["uploaded_delta", "local_gradient"]),
-           st.sampled_from([SparsityPolicy("top_k", rate=0.2),
-                            SparsityPolicy("threshold", tau=1e-3),
-                            SparsityPolicy("random", rate=0.3), SparsityPolicy("dense")]),
-           st.floats(2.0, 300.0), st.integers(1, 3), st.integers(1, 16),
-           st.integers(0, 3), st.integers(0, 2 ** 16))
-    # a local_gradient step whose finite gradient overflows the parameters
-    @example("local_gradient", SparsityPolicy("top_k", rate=0.2), 260.6, 2, 5, 1, 5819)
-    @settings(max_examples=200, deadline=None)
-    def test_replay_names_the_step_a_checked_loop_stops_at(self, site, policy, lr_exponent,
-                                                            epochs, batch, round_index,
-                                                            seed):
-        """The parameters are checked once per call and a failure is replayed:
-        under either warning filter the call raises the message of a loop
-        that checks after every step, at the same epoch and batch, or, when
-        nothing diverges, uploads the same bits."""
-        ds, spec = make_setup(n=15, seed=seed % 7)
-        cfg = cfg_with(policy, site=site, lr=10.0 ** lr_exponent, epochs=epochs,
-                       batch=batch, seed=seed)
-        partition = Partition(2, np.arange(len(ds)))
-        w0 = init_params(spec)
-
-        def outcome(reference):
-            try:
-                if reference:
-                    indices, values = local_train(partition, w0, cfg, spec, ds, round_index)
-                else:
-                    update = client_local_train(ClientState(partition), w0, cfg, spec, ds,
-                                                round_index)
-                    indices, values = update.indices, update.values
-            except TrainingDiverged as err:
-                return str(err)
-            return indices.tobytes(), values.tobytes()
-
-        expected = outcome(reference=True)
-        for action in ("default", "error"):
-            with warnings.catch_warnings():
-                warnings.simplefilter(action)
-                assert outcome(reference=False) == expected, action
-
     def test_client_id_comes_from_the_partition(self, wire):
         ds, spec = make_setup()
         client = ClientState(Partition(5, np.arange(len(ds))))
@@ -226,53 +162,6 @@ class TestClientLocalTrain:
         spec = ModelSpec(sizes)
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(spec, init_params(spec), ds)
-
-    @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
-    def test_back_to_back_clients_share_no_buffer(self, site):
-        """Two clients of one round, trained one after the other on partitions
-        of 13 and 17 rows in batches of 4: the second call leaves the first
-        upload's bits alone, and each upload is a plain loop over the oracle
-        gradient with a top-k (stable argsort) selection."""
-        ds, spec = make_setup(n=30, seed=5)
-        cfg = cfg_with(SparsityPolicy("top_k", rate=0.3), site=site, epochs=2, batch=4)
-        clients = [ClientState(Partition(0, np.arange(13))),
-                   ClientState(Partition(1, np.arange(13, 30)))]
-        w0 = init_params(spec)
-        d = w0.shape[0]
-        m = max(1, math.ceil(0.3 * d - 1e-9))
-
-        def top_k(v):
-            return np.sort(np.argsort(-np.abs(v), kind="stable")[:m])
-
-        first = client_local_train(clients[0], w0, cfg, spec, ds, round_index=3)
-        kept = (first.indices.tobytes(), first.values.tobytes())
-        second = client_local_train(clients[1], w0, cfg, spec, ds, round_index=3)
-        assert (first.indices.tobytes(), first.values.tobytes()) == kept
-
-        for client, update in zip(clients, (first, second)):
-            idx = client.partition.sample_indices
-            rng = np.random.default_rng([cfg.seed, 2, client.partition.client_id, 3])
-            w = w0.copy()
-            delta = np.zeros(d)
-            for _ in range(2):
-                order = idx[rng.permutation(idx.shape[0])]
-                for start in range(0, idx.shape[0], 4):
-                    b = order[start:start + 4]
-                    g = gradient(spec, w, ds.inputs[b], ds.labels[b])
-                    if site == "local_gradient":
-                        keep = top_k(g)
-                        w[keep] = w[keep] - cfg.learning_rate * g[keep]
-                    else:
-                        step = cfg.learning_rate * g
-                        w = w - step
-                        delta = delta - step
-            if site == "local_gradient":
-                assert np.array_equal(update.indices, np.arange(d))
-                assert np.array_equal(update.values, w)
-            else:
-                assert np.array_equal(update.indices, top_k(delta))
-                assert np.array_equal(update.values, w[update.indices])
-
 
 def params_update(client_id, count, params, indices=None):
     """An upload of `params`, at `indices` (default: every coordinate)."""
@@ -517,51 +406,6 @@ def run_setup(policy, site="uploaded_delta", seed=11, n_clients=3, epochs=1,
 
 
 class TestRunRound:
-    def test_full_participation_aggregates_all_clients(self):
-        ds, test, spec, clients, server, cfg = run_setup(SparsityPolicy("top_k", rate=0.5),
-                                                         run_seed=1)
-        metrics = run_round(server, clients, cfg, spec, ds, test)
-        d = server.global_params.shape[0]
-        m = max(1, math.ceil(0.5 * d - 1e-9))
-        assert metrics.uplink_bytes == 3 * encoded_size(m)
-        assert metrics.downlink_bytes == 3 * encoded_size(d)
-        assert len(server.history) == 1
-
-    def test_fractional_participation_count(self):
-        ds, test, spec, clients, server, cfg = run_setup(SparsityPolicy("dense"))
-        cfg = cfg_with(SparsityPolicy("dense"), participation=0.34, seed=1)
-        metrics = run_round(server, clients, cfg, spec, ds, test)
-        d = server.global_params.shape[0]
-        assert metrics.downlink_bytes == 2 * encoded_size(d)  # ceil(0.34 * 3)
-
-    def test_dense_round_matches_fedavg_reference(self):
-        """Textbook FedAvg (local SGD then data-weighted model average)
-        reimplemented inline must agree bit for bit at rate 1.0."""
-        policy = SparsityPolicy("top_k", rate=1.0)
-        ds, test, spec, clients, server, cfg = run_setup(policy, epochs=2, run_seed=7)
-        w0 = server.global_params.copy()
-        run_round(server, clients, cfg, spec, ds, test)
-
-        locals_ = []
-        counts = []
-        for c in clients:
-            rng = np.random.default_rng([cfg.seed, 2, c.partition.client_id, 0])
-            w = w0.copy()
-            idx = c.partition.sample_indices
-            for _ in range(2):
-                order = rng.permutation(idx.shape[0])
-                for start in range(0, idx.shape[0], 8):
-                    b = idx[order[start:start + 8]]
-                    w = w - cfg.learning_rate * gradient(spec, w, ds.inputs[b],
-                                                         ds.labels[b])
-            locals_.append(w)
-            counts.append(idx.shape[0])
-        total = sum(counts)
-        expected = np.zeros_like(w0)
-        for w, n in zip(locals_, counts):
-            expected += (n / total) * w
-        assert np.array_equal(server.global_params, expected)
-
     def test_uplink_monotone_in_rate(self):
         previous = -1
         for rate in (0.1, 0.2, 0.5, 0.8, 1.0):
@@ -580,6 +424,67 @@ class TestRunRound:
             results[rate] = metrics.uplink_bytes
         ratio = results[0.1] / results[1.0]
         assert 0.09 < ratio < 0.11
+
+
+with pytest.MonkeyPatch.context() as patch:
+    WORKLOADS = load_harness(patch).WORKLOADS  # the benchmark's configs, seed excluded
+
+# Small runs near the edges of the round loop: 1-5 clients, partial
+# participation, batches that leave a short last batch, and learning rates
+# up to 1e300 that may diverge in a client step, the average or the loss.
+SMALL_RUNS = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 16),
+    "dataset": st.fixed_dictionaries({"kind": st.just("synthetic"),
+                                      "classes": st.integers(2, 4),
+                                      "per_class": st.integers(4, 12),
+                                      "input_dim": st.integers(1, 4)}),
+    "model": st.fixed_dictionaries({"hidden": st.lists(st.integers(1, 6), max_size=2),
+                                    "activation": st.sampled_from(["relu", "tanh"])}),
+    "sparsify_site": st.sampled_from(["uploaded_delta", "local_gradient"]),
+    "policy": st.sampled_from([{"kind": "top_k", "rate": 0.2}, {"kind": "random", "rate": 0.3},
+                               {"kind": "threshold", "tau": 1e-3}, {"kind": "dense"}]),
+    "clients": st.integers(1, 5),
+    "alpha": st.sampled_from([0.3, 1.0, 100.0]),
+    "participation": st.sampled_from([0.34, 0.5, 1.0]),
+    "batch_size": st.integers(1, 19),
+    "local_epochs": st.integers(1, 2),
+    "rounds": st.just(3),
+    "learning_rate": st.one_of(st.floats(0.01, 0.5),
+                               st.integers(2, 300).map(lambda e: 10.0 ** e)),
+})
+
+DIVERGING = {"seed": 0, "dataset": {"kind": "synthetic", "classes": 3, "per_class": 6,
+                                    "input_dim": 3},
+             "model": {"hidden": [4]}, "policy": {"kind": "top_k", "rate": 0.2}, "clients": 2,
+             "alpha": 1.0, "batch_size": 5, "local_epochs": 2, "rounds": 3}
+
+
+def package_run(config, train_ds, test_ds):
+    server = run_experiment(config, train_ds, test_ds)
+    return _metrics_csv(server), server.global_params
+
+
+def run_outcome(run, config, split):
+    """The metrics.csv text and final parameter bits of a run, or the
+    message of the TrainingDiverged it raises."""
+    try:
+        text, params = run(config, *split)
+    except TrainingDiverged as err:
+        return str(err)
+    return text, params.tobytes()
+
+
+def assert_run_equals_the_oracle(doc):
+    """Run doc through run_experiment under the default filter and under
+    warnings-as-errors, assert each outcome equals oracle_run's, return it."""
+    config = parse_config_dict(doc)
+    split = build_dataset(config)
+    expected = run_outcome(oracle_run, config, split)
+    for action in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert run_outcome(package_run, config, split) == expected, action
+    return expected
 
 
 class TestRunExperiment:
@@ -609,40 +514,61 @@ class TestRunExperiment:
         assert m.uplink_bytes > 0 and m.downlink_bytes > 0
         assert np.isfinite(result.global_params).all()
 
-    def test_deterministic_history(self):
-        a = self.run()
-        b = self.run()
-        for ma, mb in zip(a.history, b.history):
-            assert ma.global_loss == mb.global_loss
-            assert ma.top1_accuracy == mb.top1_accuracy
-            assert ma.uplink_bytes == mb.uplink_bytes
-            assert ma.downlink_bytes == mb.downlink_bytes
-        assert np.array_equal(a.global_params, b.global_params)
-
     def test_totals_match_history(self):
         result = self.run()
         assert result.total_uplink_bytes == sum(m.uplink_bytes for m in result.history)
         assert result.total_downlink_bytes == sum(m.downlink_bytes
                                                   for m in result.history)
 
-    def test_single_client_dense_is_centralized_sgd(self):
-        """N=1, rate 1.0, uploaded_delta: the server trajectory equals a
-        plain SGD loop (same per-round batch schedule) bit for bit."""
-        config = self.base_config(clients=1, rounds=3,
-                                  policy={"kind": "top_k", "rate": 1.0})
-        train, test = build_dataset(config)
-        result = run_experiment(config, train, test)
+    @given(doc=SMALL_RUNS)
+    @settings(max_examples=50, deadline=None)
+    def test_run_equals_the_serial_oracle(self, doc):
+        """Under either warning filter, run_experiment writes the metrics.csv
+        text and ends on the parameters of oracles.oracle_run bit for bit, or
+        raises its TrainingDiverged message."""
+        assert_run_equals_the_oracle(doc)
 
-        spec = config.model_spec
-        w = init_params(spec)
-        for t in range(3):
-            rng = np.random.default_rng([config.seed, 2, 0, t])
-            order = rng.permutation(len(train))
-            for start in range(0, len(train), config.batch_size):
-                b = order[start:start + config.batch_size]
-                w = w - config.learning_rate * gradient(spec, w, train.inputs[b],
-                                                        train.labels[b])
-        assert np.array_equal(result.global_params, w)
+    @pytest.mark.parametrize("doc,stop", [
+        ({**WORKLOADS["paper"], "seed": 0}, None),
+        ({**WORKLOADS["local_grad"], "seed": 0}, None),
+        ({**WORKLOADS["wide"], "seed": 0, "rounds": 5}, None),
+        ({**DIVERGING, "learning_rate": 1e20},
+         "client 0: non-finite parameters in round 2, epoch 1, batch 0"),
+        ({**DIVERGING, "sparsify_site": "local_gradient", "learning_rate": 1e27},
+         "client 1: non-finite gradient in round 1, epoch 1, batch 1"),
+        ({**DIVERGING, "sparsify_site": "local_gradient", "learning_rate": 1e223,
+          "model": {"hidden": [4], "activation": "tanh"}},
+         "client 0: non-finite parameters in round 0, epoch 0, batch 1"),
+        ({**DIVERGING, "learning_rate": 1e17}, "global loss non-finite in round 2"),
+        ({**DIVERGING, "sparsify_site": "local_gradient", "learning_rate": 1e25},
+         "global loss non-finite in round 1"),
+    ], ids=["paper", "local_grad", "wide_5_rounds", "client_params", "client_gradient",
+            "client_params_after_finite_gradient", "loss_uploaded_delta",
+            "loss_local_gradient"])
+    def test_pinned_run_equals_the_serial_oracle(self, doc, stop):
+        """The whole-run check on the benchmark workloads (wide cut to 5
+        rounds), which end normally, and on one small run per way a run
+        stops: a client's parameters, its gradient, its parameters after a
+        finite gradient (local_gradient), and the loss at each site."""
+        outcome = assert_run_equals_the_oracle(doc)
+        if stop is None:
+            assert isinstance(outcome, tuple), outcome
+        else:
+            assert outcome == stop
+
+    def test_oracle_calls_no_round_code(self, monkeypatch):
+        """oracle_run is a reference only while it shares no round code with
+        the package: it runs with the four round functions made to raise."""
+        config = self.base_config(clients=4, participation=0.5)
+        split = build_dataset(config)
+        expected = run_outcome(package_run, config, split)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle_run called the package's round code")
+
+        for name in ("aggregate", "global_loss", "run_round", "client_local_train"):
+            monkeypatch.setattr(federation, name, refuse)
+        assert run_outcome(oracle_run, config, split) == expected
 
     def test_every_policy_trains_on_top_k_batches(self, monkeypatch):
         """The batch order comes from the training stream alone, so every
