@@ -6,13 +6,12 @@ Runs top-k, threshold, and random sparsification across parameter values
 (the value doubles as the retained fraction for top-k/random and as tau for
 threshold), averaged over a few seeds, and prints one accuracy table per
 strategy. Each seed is one `fedsparse sweep` call into a temporary
-directory; the seeds are 0..N-1 whatever FEDSPARSE_SEED says.
+directory; the seeds are 0..N-1.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 import tempfile
 from collections import defaultdict
@@ -49,7 +48,6 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=3)
     args = parser.parse_args()
 
-    os.environ.pop("FEDSPARSE_SEED", None)  # it would override every seed below
     runs = defaultdict(list)  # (policy, value) -> one sweep.csv row per seed
     for seed in range(args.seeds):
         for row in sweep_rows(seed, args.rounds):

@@ -7,8 +7,8 @@ Subcommands:
     gen-data <spec.json> -o <out.csv>      write a synthetic dataset
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 partial
-sweep failure. The FEDSPARSE_SEED environment variable overrides the
-config seed. Output files are written atomically (temp + rename).
+sweep failure. `run` and `sweep` write into --out (default `out`). Output
+files are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -58,17 +58,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _apply_seed_env(cfg: ExperimentConfig) -> ExperimentConfig:
-    override = os.environ.get("FEDSPARSE_SEED")
-    if override is None:
-        return cfg
-    try:
-        return replace(cfg, seed=int(override))
-    except ValueError:  # not an integer, or a seed ExperimentConfig rejects
-        raise ConfigError(f"FEDSPARSE_SEED must be a non-negative integer, "
-                          f"got {override!r}") from None
-
-
 def _metrics_csv(result: ServerState) -> str:
     lines = [METRICS_HEADER]
     lines.extend(m.csv_row() for m in result.history)
@@ -106,8 +95,7 @@ def _write_run_outputs(out_dir: str, cfg: ExperimentConfig,
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_seed_env(parse_config(args.config))
-    out_dir = args.out if args.out else cfg.output_dir
+    cfg = parse_config(args.config)
 
     def stream(metrics):
         if args.stream:
@@ -116,28 +104,24 @@ def _cmd_run(args) -> int:
     if args.stream:
         print(f"{METRICS_HEADER},elapsed_s", flush=True)
     result = run_experiment(cfg, *build_dataset(cfg), on_round=stream)
-    _write_run_outputs(out_dir, cfg, result)
+    _write_run_outputs(args.out, cfg, result)
     if not args.quiet:
         print(f"rounds={len(result.history)} "
               f"final_accuracy={result.final_accuracy:.4f} "
               f"final_loss={result.final_global_loss:.6f} "
               f"uplink={result.total_uplink_bytes} "
               f"downlink={result.total_downlink_bytes} "
-              f"wall_time={result.wall_time_s:.2f}s -> {out_dir}")
+              f"wall_time={result.wall_time_s:.2f}s -> {args.out}")
     return EXIT_OK
 
 
-def _run_cell(base: ExperimentConfig, data: tuple, out_root: str, index: int,
+def _run_cell(base: ExperimentConfig, data: tuple, cell_dir: str,
               alpha: float, kind: str, rate: float):
-    """Run one sweep cell on the shared split; raises on any invalid cell parameter."""
-    cfg = replace(
-        base,
-        alpha=alpha,
-        policy=cell_policy(kind, rate),
-        output_dir=os.path.join(out_root, "cells", f"cell_{index:03d}"),
-    )
+    """Run one sweep cell on the shared split and write its outputs into
+    cell_dir; raises on any invalid cell parameter."""
+    cfg = replace(base, alpha=alpha, policy=cell_policy(kind, rate))
     result = run_experiment(cfg, *data)
-    _write_run_outputs(cfg.output_dir, cfg, result)
+    _write_run_outputs(cell_dir, cfg, result)
     # the downlink is the same for every policy, so only the uplink is reported
     return result.final_accuracy, result.total_uplink_bytes
 
@@ -161,11 +145,11 @@ def _pivot_table(pivot: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    base = _apply_seed_env(parse_config(args.config))
+    base = parse_config(args.config)
     cells = parse_grid(args.grid)
-    # the build reads no key a cell changes (alpha, policy, output_dir)
+    # the build reads no key a cell changes (alpha, policy)
     data = build_dataset(base)
-    out_root = args.out if args.out else base.output_dir
+    cell_dirs = [os.path.join(args.out, "cells", f"cell_{i:03d}") for i in range(len(cells))]
 
     lines = [SWEEP_HEADER]
     pivot = {}  # (policy, rate, alpha) -> accuracy, None for a failed cell
@@ -177,11 +161,11 @@ def _cmd_sweep(args) -> int:
             # imported here so that `run` and serial sweeps load no process pool
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            outcomes = [pool.submit(_run_cell, base, data, out_root, i, *cell).result
-                        for i, cell in enumerate(cells)]
+            outcomes = [pool.submit(_run_cell, base, data, cell_dir, *cell).result
+                        for cell_dir, cell in zip(cell_dirs, cells)]
         else:
-            outcomes = [functools.partial(_run_cell, base, data, out_root, i, *cell)
-                        for i, cell in enumerate(cells)]
+            outcomes = [functools.partial(_run_cell, base, data, cell_dir, *cell)
+                        for cell_dir, cell in zip(cell_dirs, cells)]
         for (alpha, kind, rate), outcome in zip(cells, outcomes):
             try:
                 accuracy, uplink_bytes = outcome()
@@ -194,9 +178,9 @@ def _cmd_sweep(args) -> int:
                       f"failed: {exc}", file=sys.stderr)
             pivot[kind, rate, alpha] = accuracy
 
-    _atomic_write(os.path.join(out_root, "sweep.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(args.out, "sweep.csv"), "\n".join(lines) + "\n")
     table = _pivot_table(pivot)
-    _atomic_write(os.path.join(out_root, "sweep.txt"), table)
+    _atomic_write(os.path.join(args.out, "sweep.txt"), table)
     if not args.quiet:
         print(table)
 
@@ -234,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.add_argument("--stream", action="store_true",
                        help="print per-round CSV rows (with elapsed_s) to stdout")
     p_run.add_argument("--quiet", action="store_true")
@@ -245,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True, help="grid JSON file")
     p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="parallel cells (at most one worker per cell)")
-    p_sweep.add_argument("--out", default=None, help="output directory override")
+    p_sweep.add_argument("--out", default="out", help="output directory (default: out)")
     p_sweep.add_argument("--quiet", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -14,7 +14,7 @@ keys present, and prefixes a nested type's errors with its section.
 Schemas (the type or function that owns each part in parentheses):
 
     seed, clients, alpha, sparsify_site, rounds, local_epochs,
-    learning_rate, batch_size, participation, test_fraction, output_dir
+    learning_rate, batch_size, participation, test_fraction
                     (ExperimentConfig)
     dataset         {"kind": "synthetic", "classes", "per_class", "input_dim",
                      "separation"}                    (SyntheticDataConfig)
@@ -115,7 +115,6 @@ class ExperimentConfig:
     batch_size: int = 32
     participation: float = 1.0
     test_fraction: float = 0.2
-    output_dir: str = "out"
 
     def __post_init__(self):
         # The one owner of the top-level range rules: parsed configs, sweep

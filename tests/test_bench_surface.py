@@ -52,3 +52,14 @@ def test_positional_contract_of_the_counters():
     assert names(federation.client_local_train)[0:3:2] == ["client", "cfg"]
     assert [names(federation.run_round)[i] for i in (0, 4, 5)] == [
         "server", "train_ds", "test_ds"]
+
+
+def test_workload_configs_parse(harness):
+    """The harness writes each workload's config at a seed and runs it, so a
+    config schema change that breaks one fails here, not only in its run."""
+    from fedsparse.config import parse_config_dict
+
+    shapes = {name: parse_config_dict(dict(w, seed=harness.DEFAULT_SEED)).model_spec.layer_sizes
+              for name, w in harness.WORKLOADS.items()}
+    assert shapes == {"paper": (10, 16, 3), "wide": (256, 256, 64, 10),
+                      "local_grad": (32, 64, 5)}

@@ -59,24 +59,22 @@ def smoke_config(tmp_path):
         "policy": {"kind": "top_k", "rate": 0.3},
         "rounds": 2, "local_epochs": 1, "batch_size": 8,
         "learning_rate": 0.05, "alpha": 0.5,
-        "output_dir": str(tmp_path / "out"),
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    return path, doc
+    return path, doc, tmp_path / "out"
 
 
 class TestRun:
     def test_smoke_outputs(self, smoke_config, capsys):
-        path, doc = smoke_config
-        assert main(["run", str(path)]) == EXIT_OK
-        out_dir = doc["output_dir"]
-        metrics = Path(out_dir, "metrics.csv").read_text().splitlines()
+        path, _, out = smoke_config
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        metrics = Path(out, "metrics.csv").read_text().splitlines()
         assert metrics[0] == "round,global_loss,top1_accuracy,uplink_bytes,downlink_bytes"
         assert len(metrics) == 3  # header + one row per round
         assert metrics[1].split(",")[0] == "0"
 
-        summary = json.loads(Path(out_dir, "summary.json").read_text())
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["rounds_completed"] == 2
         assert summary["config"]["seed"] == 3
         assert "wall_time_s" in summary and "version" in summary
@@ -85,14 +83,14 @@ class TestRun:
                 for r in metrics[1:]]
         assert summary["total_uplink_bytes"] == sum(rows)
 
-        partitions = Path(out_dir, "partitions.csv").read_text().splitlines()
+        partitions = Path(out, "partitions.csv").read_text().splitlines()
         assert partitions[0] == "sample_index,client_id"
         assert len(partitions) == 1 + 48  # train split of 60 samples at 0.2
 
     def test_partitions_csv_lists_every_sample_once(self, smoke_config):
-        path, doc = smoke_config
-        assert main(["run", str(path), "--quiet"]) == EXIT_OK
-        lines = Path(doc["output_dir"], "partitions.csv").read_text().splitlines()
+        path, _, out = smoke_config
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+        lines = Path(out, "partitions.csv").read_text().splitlines()
         assert lines[0] == "sample_index,client_id"
         pairs = [tuple(map(int, line.split(","))) for line in lines[1:]]
         assert [i for i, _ in pairs] == list(range(48))  # sorted, each sample once
@@ -103,16 +101,17 @@ class TestRun:
 
     def test_run_loads_no_process_pool(self, smoke_config):
         """Only `sweep --jobs N` needs multiprocessing; `run` does not import it."""
-        path, doc = smoke_config
+        path, _, out = smoke_config
         script = ("import sys, fedsparse.cli\n"
-                  f"assert fedsparse.cli.main(['run', {str(path)!r}, '--quiet']) == 0\n"
+                  f"assert fedsparse.cli.main(['run', {str(path)!r}, '--out', {str(out)!r},"
+                  " '--quiet']) == 0\n"
                   "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',"
                   " 'socket', 'logging') if m in sys.modules))\n")
         src = os.path.dirname(os.path.dirname(fedsparse.__file__))
-        out = subprocess.run([sys.executable, "-c", script], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src)).stdout
-        assert out.strip() == "[]"
+        stdout = subprocess.run([sys.executable, "-c", script], check=True,
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert stdout.strip() == "[]"
 
     @pytest.mark.parametrize("batch", [8, 64], ids=["in_round_0", "after_eval"])
     @pytest.mark.parametrize("site", ["uploaded_delta", "local_gradient"])
@@ -122,13 +121,13 @@ class TestRun:
         Round 0's steps leave a huge but finite model, which the codec and the
         average pass quietly; round 1's steps leave one whose loss overflows,
         and that non-finite loss stops the run before any round 2 step."""
-        path, doc = smoke_config
+        path, doc, out = smoke_config
         path.write_text(json.dumps({**doc, "sparsify_site": site, "batch_size": batch,
                                     "rounds": 3, "learning_rate": 1e150}))
         src = os.path.dirname(os.path.dirname(fedsparse.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fedsparse.cli import main; "
-             "sys.exit(main())", "run", str(path), "--quiet"],
+             "sys.exit(main())", "run", str(path), "--out", str(out), "--quiet"],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"))
         assert proc.returncode == EXIT_RUNTIME
@@ -170,11 +169,11 @@ class TestRun:
             "seed": 0, "dataset": {"kind": "synthetic", "classes": 3, "per_class": 20,
                                    "input_dim": 4},
             "policy": {"kind": "top_k", "rate": 0.3}, "rounds": 1, "local_epochs": 1,
-            "batch_size": 64, "learning_rate": 1e150, "output_dir": str(out)}))
+            "batch_size": 64, "learning_rate": 1e150}))
         src = os.path.dirname(os.path.dirname(fedsparse.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fedsparse.cli import main; "
-             "sys.exit(main())", "run", str(path), "--quiet"],
+             "sys.exit(main())", "run", str(path), "--out", str(out), "--quiet"],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"))
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
@@ -183,50 +182,52 @@ class TestRun:
         assert math.isfinite(loss) and loss > 1e290
 
     def test_rerun_is_byte_identical(self, smoke_config):
-        path, doc = smoke_config
-        assert main(["run", str(path)]) == EXIT_OK
-        first = Path(doc["output_dir"], "metrics.csv").read_bytes()
-        assert main(["run", str(path)]) == EXIT_OK
-        second = Path(doc["output_dir"], "metrics.csv").read_bytes()
+        path, _, out = smoke_config
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        first = Path(out, "metrics.csv").read_bytes()
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        second = Path(out, "metrics.csv").read_bytes()
         assert first == second
 
     def test_stream_rows_include_elapsed(self, smoke_config, capsys):
-        path, _ = smoke_config
-        assert main(["run", str(path), "--stream", "--quiet"]) == EXIT_OK
+        path, _, out = smoke_config
+        assert main(["run", str(path), "--out", str(out), "--stream", "--quiet"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].endswith(",elapsed_s")
         assert len(lines) == 3
 
-    def test_seed_env_override(self, smoke_config, monkeypatch, capsys):
-        path, doc = smoke_config
-        monkeypatch.setenv("FEDSPARSE_SEED", "99")
-        assert main(["run", str(path)]) == EXIT_OK
-        summary = json.loads(Path(doc["output_dir"], "summary.json").read_text())
-        assert summary["config"]["seed"] == 99
-        monkeypatch.setenv("FEDSPARSE_SEED", "not-an-int")
-        assert main(["run", str(path)]) == EXIT_USAGE
-        monkeypatch.setenv("FEDSPARSE_SEED", "-1")
-        assert main(["run", str(path)]) == EXIT_USAGE
-        assert "FEDSPARSE_SEED must be a non-negative integer, got '-1'" \
-            in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_dir_key_is_a_config_error(self, smoke_config, tmp_path, capsys,
+                                              command):
+        """Where a run writes is its command line's --out, never a config key."""
+        path, doc, out = smoke_config
+        path.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / "elsewhere"))))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"alpha": [0.5], "rate": [0.3]}))
+        argv = [command, str(path), "--out", str(out), "--quiet"]
+        assert main(argv + (["--grid", str(grid)] if command == "sweep" else [])) == \
+            EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "fedsparse: config error: unknown key 'output_dir'\n"
+        assert not out.exists() and not (tmp_path / "elsewhere").exists()
 
     def test_tiny_alpha_fails_fast_naming_alpha(self, smoke_config, capsys):
         """An alpha that can underflow every Dirichlet draw is a config error."""
-        path, doc = smoke_config
+        path, doc, out = smoke_config
         path.write_text(json.dumps(dict(doc, alpha=1e-300)))
-        assert main(["run", str(path), "--quiet"]) == EXIT_USAGE
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == EXIT_USAGE
         assert "config error: alpha: must be >= 1e-05" in capsys.readouterr().err
-        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key,value", [
         ("alpha", float("inf")), ("learning_rate", float("inf")), ("alpha", float("nan"))])
     def test_non_finite_number_is_config_error(self, smoke_config, capsys, key, value):
         """json reads Infinity and NaN; a run rejects them before round 0."""
-        path, doc = smoke_config
+        path, doc, out = smoke_config
         path.write_text(json.dumps(dict(doc, **{key: value})))  # Infinity / NaN
-        assert main(["run", str(path), "--quiet"]) == EXIT_USAGE
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == EXIT_USAGE
         assert f"config error: {key}: must be finite" in capsys.readouterr().err
-        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(out)
 
     def test_csv_dataset_is_normalized_by_train_statistics(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -240,13 +241,13 @@ class TestRun:
                         "classes": 3, "normalize": True},
             "policy": {"kind": "top_k", "rate": 0.3},
             "rounds": 2, "batch_size": 8, "alpha": 0.5,
-            "output_dir": str(tmp_path / "out"),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--quiet"]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
         for name in ("metrics.csv", "summary.json", "partitions.csv"):
-            assert (tmp_path / "out" / name).is_file()
+            assert (out / name).is_file()
 
         cfg = parse_config(path)
         train, test = build_dataset(cfg)
@@ -263,9 +264,10 @@ class TestRun:
         data.write_bytes(b"1.0,2.0,0\n1.0,2.0\xff,1\n")
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
-            "seed": 3, "policy": {"kind": "dense"}, "output_dir": str(tmp_path / "out"),
+            "seed": 3, "policy": {"kind": "dense"},
             "dataset": {"kind": "csv", "path": str(data), "input_dim": 2, "classes": 2}}))
-        assert main(["run", str(path), "--quiet"]) == EXIT_RUNTIME
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == \
+            EXIT_RUNTIME
         assert capsys.readouterr().err == (
             f"fedsparse: error: {data}:2: 'utf-8' codec can't decode byte 0xff "
             f"in position 7: invalid start byte\n")
@@ -294,18 +296,18 @@ class TestRun:
             spec = {"kind": "synthetic", "classes": 3, "per_class": 1, "input_dim": 4}
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 3, "dataset": spec, "rounds": 2,
-                                    "batch_size": 8, "policy": {"kind": "top_k", "rate": 0.3},
-                                    "output_dir": str(tmp_path / "out")}))
+                                    "batch_size": 8, "policy": {"kind": "top_k", "rate": 0.3}}))
+        out = tmp_path / "out"
         outcomes = []
         for action in ("default", "error"):
             with warnings.catch_warnings():
                 warnings.simplefilter(action)
-                outcomes.append((main(["run", str(path), "--quiet"]),
+                outcomes.append((main(["run", str(path), "--out", str(out), "--quiet"]),
                                  capsys.readouterr().err))
         assert outcomes == [(code, err)] * 2
         if code == EXIT_OK:
             for name in ("metrics.csv", "summary.json", "partitions.csv"):
-                assert (tmp_path / "out" / name).is_file()
+                assert (out / name).is_file()
 
     @pytest.mark.parametrize("kind", ["synthetic", "csv"])
     @pytest.mark.parametrize("override,err", [
@@ -530,40 +532,43 @@ class TestSweep:
             assert outcomes[0] == outcomes[1]
 
     def test_full_grid_shape(self, smoke_config, tmp_path, capsys):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.3, 0.6],
                                           "rate": [0.1, 0.2, 0.3, 0.4],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        rows = Path(out, "sweep.csv").read_text().splitlines()
         assert rows[0] == "alpha,policy,rate,final_accuracy,uplink_bytes,status"
         assert len(rows) == 9  # header + 2 alphas x 4 rates
         assert all(r.endswith(",ok") for r in rows[1:])
-        table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
+        table = Path(out, "sweep.txt").read_text().splitlines()
         assert table[:2] == ["policy: top_k", "rate      alpha=0.3         alpha=0.6"]
         assert all(line == line.rstrip() for line in table)
         # per-cell artifacts
-        assert os.path.exists(os.path.join(doc["output_dir"], "cells",
+        assert os.path.exists(os.path.join(out, "cells",
                                            "cell_000", "metrics.csv"))
 
     def test_bytes_increase_with_rate_within_group(self, smoke_config, tmp_path):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.3],
                                           "rate": [0.1, 0.2, 0.3, 0.4],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
         totals = [int(r.split(",")[4]) for r in rows]
         assert totals == sorted(totals)
         assert len(set(totals)) == len(totals)  # strictly increasing
 
     def test_single_cell_matches_direct_run(self, smoke_config, tmp_path):
         """A 1x1 grid reproduces a plain run of the base config."""
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        cell_metrics = Path(doc["output_dir"], "cells", "cell_000", "metrics.csv").read_text()
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        cell_metrics = Path(out, "cells", "cell_000", "metrics.csv").read_text()
         # the cell runs on the base seed, and its alpha/policy equal the base config
         assert main(["run", str(path), "--out", str(tmp_path / "direct")]) == EXIT_OK
         direct_metrics = Path(tmp_path, "direct", "metrics.csv").read_text()
@@ -572,12 +577,12 @@ class TestSweep:
     def test_partial_failure_exit_code(self, smoke_config, tmp_path, capsys):
         """Bad cells (rate out of range, alpha below the floor) are recorded;
         the rest still run."""
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5, 1e-7], "rate": [0.3, 1.5],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
-            EXIT_PARTIAL
-        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_PARTIAL
+        rows = Path(out, "sweep.csv").read_text().splitlines()
         statuses = [r.rsplit(",", 1)[1] for r in rows[1:]]
         assert statuses == ["ok", "failed", "failed", "failed"]
         err = capsys.readouterr().err
@@ -585,27 +590,27 @@ class TestSweep:
         assert "alpha=1e-07 policy=top_k rate=0.3 failed: alpha: must be >= 1e-05" in err
 
     def test_non_finite_grid_alpha_fails_its_cell(self, smoke_config, tmp_path, capsys):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5, float("inf")], "rate": [0.3]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
-            EXIT_PARTIAL
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_PARTIAL
         assert "alpha=inf policy=top_k rate=0.3 failed: alpha: must be finite" \
             in capsys.readouterr().err
 
     def test_dense_cells_share_rate_one(self, smoke_config, tmp_path, capsys):
         """A dense cell ignores the grid rate, so it runs once per alpha with
         rate 1.0 in the CSV, the pivot and a failed cell's message."""
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5, 1e-7], "rate": [0.2, 0.4],
                                           "policy": ["dense"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
-            EXIT_PARTIAL
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_PARTIAL
         rows = [r.split(",") for r in
-                Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]]
+                Path(out, "sweep.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[1], r[2], r[5]) for r in rows] == [
             ("0.5", "dense", "1.0", "ok"), ("1e-07", "dense", "1.0", "failed")]
-        assert sorted(os.listdir(Path(doc["output_dir"], "cells"))) == ["cell_000"]
-        table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
+        assert sorted(os.listdir(Path(out, "cells"))) == ["cell_000"]
+        table = Path(out, "sweep.txt").read_text().splitlines()
         assert [line.split() for line in table] == [
             ["policy:", "dense"], ["rate", "alpha=1e-07", "alpha=0.5"],
             ["1", "-", f"{float(rows[0][3]):.4f}"]]
@@ -618,25 +623,27 @@ class TestSweep:
 
     def test_grid_runs_each_distinct_cell_once(self, smoke_config, tmp_path):
         """2 alphas x (4 top-k rates + dense): 10 cells, not 16."""
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, self.GRID_G)
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
         assert [tuple(r.split(",")[:3]) for r in rows] == [
             (alpha, kind, rate) for alpha in ("0.3", "0.6")
             for kind, rate in [("top_k", "0.1"), ("top_k", "0.2"), ("top_k", "0.3"),
                                ("top_k", "0.4"), ("dense", "1.0")]]
         assert all(r.endswith(",ok") for r in rows)
-        assert sorted(os.listdir(Path(doc["output_dir"], "cells"))) == \
+        assert sorted(os.listdir(Path(out, "cells"))) == \
             [f"cell_{i:03d}" for i in range(10)]
 
     def test_every_cell_is_a_direct_run_on_the_base_seed(self, smoke_config, tmp_path):
         """Each cell's summary.json echoes the base seed, and `fedsparse run`
         on that echoed config writes the cell's metrics.csv byte for byte."""
-        path, doc = smoke_config
+        path, doc, out = smoke_config
         grid = self.write_grid(tmp_path, self.GRID_G)
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        cells = sorted(Path(doc["output_dir"], "cells").iterdir())
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        cells = sorted(Path(out, "cells").iterdir())
         assert len(cells) == 10
         for cell in cells:
             echoed = json.loads((cell / "summary.json").read_text())["config"]
@@ -648,44 +655,35 @@ class TestSweep:
             assert (direct / "metrics.csv").read_bytes() == \
                 (cell / "metrics.csv").read_bytes()
 
-    def test_seed_env_override_reaches_every_cell(self, smoke_config, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("FEDSPARSE_SEED", "99")
-        path, doc = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.2, 0.4],
-                                          "policy": ["top_k", "dense"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        cells = sorted(Path(doc["output_dir"], "cells").iterdir())
-        assert [json.loads((c / "summary.json").read_text())["config"]["seed"]
-                for c in cells] == [99, 99, 99]
-
     def test_repeated_rate_runs_one_cell(self, smoke_config, tmp_path):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.2, 0.2],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        rows = Path(doc["output_dir"], "sweep.csv").read_text().splitlines()[1:]
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [["0.5", "top_k", "0.2"]]
-        assert os.listdir(Path(doc["output_dir"], "cells")) == ["cell_000"]
+        assert os.listdir(Path(out, "cells")) == ["cell_000"]
 
     def test_threshold_cell_takes_grid_rate_as_tau(self, smoke_config, tmp_path):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.05],
                                           "policy": ["threshold"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
-        summary = json.loads(Path(doc["output_dir"], "cells", "cell_000",
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        summary = json.loads(Path(out, "cells", "cell_000",
                                   "summary.json").read_text())
         assert summary["config"]["policy"] == {"kind": "threshold", "tau": 0.05}
 
     def test_failed_cell_reads_dash_in_pivot(self, smoke_config, tmp_path):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3, 1.5],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
-            EXIT_PARTIAL
-        accuracy = float(Path(doc["output_dir"], "sweep.csv").read_text()
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_PARTIAL
+        accuracy = float(Path(out, "sweep.csv").read_text()
                          .splitlines()[1].split(",")[3])
-        table = Path(doc["output_dir"], "sweep.txt").read_text().splitlines()
+        table = Path(out, "sweep.txt").read_text().splitlines()
         assert [line.split() for line in table[2:]] == [
             ["0.3", f"{accuracy:.4f}"], ["1.5", "-"]]
 
@@ -697,15 +695,14 @@ class TestSweep:
             "policy": {"kind": "top_k", "rate": 0.5},
             "rounds": 1, "local_epochs": 2, "batch_size": 8,
             "learning_rate": 1e150, "clients": 2, "test_fraction": 0.25,
-            "output_dir": str(tmp_path / "sweep_out"),
         }
         # a valid config whose steps overflow: every cell diverges at run time
         cfg = tmp_path / "cfg_fail.json"
         cfg.write_text(json.dumps(doc))
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.5],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(cfg), "--grid", str(grid), "--quiet"]) == \
-            EXIT_RUNTIME
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(tmp_path / "sweep_out"), "--quiet"]) == EXIT_RUNTIME
 
     @pytest.mark.parametrize("grid,message", [
         ({"alpha": 0.5, "rate": [0.3]}, "grid.alpha: must be a list of numbers"),
@@ -716,38 +713,38 @@ class TestSweep:
     ])
     def test_ill_typed_grid_value_named(self, smoke_config, tmp_path, capsys,
                                         grid, message):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid_path = self.write_grid(tmp_path, grid)
-        assert main(["sweep", str(path), "--grid", str(grid_path), "--quiet"]) == \
-            EXIT_USAGE
+        assert main(["sweep", str(path), "--grid", str(grid_path), "--out", str(out),
+                     "--quiet"]) == EXIT_USAGE
         assert f"config error: {message}" in capsys.readouterr().err
-        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(out)
 
     def test_unknown_policy_kind_named(self, smoke_config, tmp_path, capsys):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3],
                                           "policy": ["top_k", "nope"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == \
-            EXIT_USAGE
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
+                     "--quiet"]) == EXIT_USAGE
         assert "config error: grid.policy: unknown kind 'nope'" in \
             capsys.readouterr().err
-        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid"])
     def test_unreadable_grid_file(self, smoke_config, tmp_path, capsys, text):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid_path = tmp_path / "grid.json"
         if text is not None:
             grid_path.write_text(text)
-        assert main(["sweep", str(path), "--grid", str(grid_path), "--quiet"]) == \
-            EXIT_USAGE
+        assert main(["sweep", str(path), "--grid", str(grid_path), "--out", str(out),
+                     "--quiet"]) == EXIT_USAGE
         expected = f"grid file not found: {grid_path}" if text is None \
             else f"{grid_path}: invalid JSON: "
         assert f"config error: {expected}" in capsys.readouterr().err
-        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(out)
 
     def test_parallel_jobs_match_serial(self, smoke_config, tmp_path):
-        path, doc = smoke_config
+        path, _, _ = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8], "rate": [0.2],
                                           "policy": ["top_k"]})
         assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
@@ -761,7 +758,7 @@ class TestSweep:
     def test_jobs_1_and_3_write_identical_files(self, smoke_config, tmp_path):
         """The process pool changes no output on a grid with dense cells;
         only summary.json differs, by its wall time."""
-        path, _ = smoke_config
+        path, _, _ = smoke_config
         grid = self.write_grid(tmp_path, self.GRID_G)
         for jobs in ("1", "3"):
             assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
@@ -811,25 +808,25 @@ class TestSweep:
     def test_jobs_capped_at_cell_count(self, smoke_config, tmp_path, monkeypatch):
         """--jobs 64 on two cells asks for two workers; the recorder starts none."""
         requested = self.record_pool(monkeypatch)
-        path, _ = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8], "rate": [0.2],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out), "--quiet",
                      "--jobs", "64"]) == EXIT_OK
         assert requested == [2]
-        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3 and all(r.endswith(",ok") for r in rows[1:])
 
     def test_failed_future_fails_only_its_cell(self, smoke_config, tmp_path,
                                                monkeypatch, capsys):
         requested = self.record_pool(monkeypatch, failing_call=1)
-        path, _ = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8, 1.2], "rate": [0.2],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out), "--quiet",
                      "--jobs", "3"]) == EXIT_PARTIAL
         assert requested == [3]
-        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        rows = (out / "sweep.csv").read_text().splitlines()
         assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["ok", "failed", "ok"]
         assert rows[2] == "0.8,top_k,0.2,,,failed"
         assert "cell alpha=0.8 policy=top_k rate=0.2 failed: worker died" in \
@@ -837,13 +834,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_jobs_below_one_is_usage_error(self, smoke_config, tmp_path, capsys, jobs):
-        path, doc = smoke_config
+        path, _, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.4], "rate": [0.2],
                                           "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out), "--quiet",
                      "--jobs", jobs]) == EXIT_USAGE
         assert "argument --jobs: must be" in capsys.readouterr().err
-        assert not os.path.exists(doc["output_dir"])
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_dataset_is_built_once(self, smoke_config, tmp_path, monkeypatch, jobs):
@@ -860,12 +857,12 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "build_dataset", counting)
         monkeypatch.setattr(federation, "build_dataset", counting)
-        path, doc = smoke_config
+        path, doc, out = smoke_config
         grid = self.write_grid(tmp_path, {"alpha": [0.4, 0.8], "rate": [0.2],
                                           "policy": ["top_k", "dense"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out), "--quiet",
                      "--jobs", jobs]) == EXIT_OK
-        assert len(os.listdir(Path(doc["output_dir"], "cells"))) == 4
+        assert len(os.listdir(Path(out, "cells"))) == 4
         assert [(c.seed, c.alpha, c.policy) for c in builds] == \
             [(doc["seed"], doc["alpha"], parse_config(path).policy)]
         assert requested == ([] if jobs == "1" else [3])
@@ -927,7 +924,7 @@ class TestSweep:
 
 def test_outputs_get_the_umask_mode(smoke_config, tmp_path):
     """run, sweep and gen-data outputs are created as open(path, "w") creates a file."""
-    path, _ = smoke_config
+    path, _, _ = smoke_config
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"alpha": [0.5], "rate": [0.3], "policy": ["top_k"]}))
     spec = tmp_path / "spec.json"
@@ -951,3 +948,41 @@ def test_outputs_get_the_umask_mode(smoke_config, tmp_path):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
     for d in ("run", "sweep", cell, "data"):
         assert not [f for f in os.listdir(tmp_path / d) if f.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("value", ["99", "not-an-int"])
+def test_seed_environment_variable_is_ignored(smoke_config, tmp_path, monkeypatch, value):
+    """A run is its config file and its command line: with FEDSPARSE_SEED
+    exported, `run` and a one-cell `sweep` write what they write without it."""
+    path, doc, _ = smoke_config
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alpha": [doc["alpha"]], "rate": [0.3]}))
+
+    def outputs(name):
+        run, sweep = tmp_path / name / "run", tmp_path / name / "sweep"
+        assert main(["run", str(path), "--out", str(run), "--quiet"]) == EXIT_OK
+        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(sweep),
+                     "--quiet"]) == EXIT_OK
+        return [((d / "metrics.csv").read_bytes(),
+                 json.loads((d / "summary.json").read_text())["config"]["seed"])
+                for d in (run, sweep / "cells" / "cell_000")]
+
+    without = outputs("without")
+    assert [seed for _, seed in without] == [doc["seed"]] * 2
+    monkeypatch.setenv("FEDSPARSE_SEED", value)
+    assert outputs("with") == without
+
+
+def test_out_defaults_to_out(smoke_config, tmp_path, monkeypatch):
+    """Without --out, `run` and `sweep` write into ./out."""
+    path, _, _ = smoke_config
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alpha": [0.5], "rate": [0.3]}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", str(path), "--quiet"]) == EXIT_OK
+    assert main(["sweep", str(path), "--grid", str(grid), "--quiet"]) == EXIT_OK
+    assert os.listdir(work) == ["out"]
+    assert sorted(os.listdir(work / "out")) == [
+        "cells", "metrics.csv", "partitions.csv", "summary.json", "sweep.csv", "sweep.txt"]

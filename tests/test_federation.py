@@ -633,7 +633,6 @@ class TestBuildDataset:
                                    SparsityPolicy("random", rate=0.5),
                                    SparsityPolicy("threshold", tau=1e9),
                                    SparsityPolicy("dense")]),
-        "output_dir": st.text(min_size=1, max_size=8),
     })
 
     @given(task=TASKS, cell=CELLS)
