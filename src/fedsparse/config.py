@@ -3,7 +3,8 @@
 A config file is a single JSON object. Only "seed", "dataset" and
 "policy" are required; everything else has a default. Unknown keys are
 rejected by name, invalid values are rejected with the field path and
-the violated constraint.
+the violated constraint. An integer beyond float range reads as the
+infinity its float spelling does (10**400 as 1e400).
 
 The config types own the schema: their fields are the keys, their field
 defaults the defaults and their __post_init__ the range rules, so a
@@ -263,12 +264,19 @@ def parse_config_dict(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _json_int(text: str):
+    """A JSON integer, or the infinity its float spelling reads as when it
+    is beyond float range, so that 10**400 fails as 1e400 does."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def _read_json(path, what: str):
     """The JSON document in the file at path; `what` names the file
     ("config", "grid", "spec") when it is missing."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
