@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Accuracy versus retained fraction under two heterogeneity levels.
 
-Runs the synthetic 3-class task (227 params) over alpha in {0.3, 0.6}
-with log-spaced top-k rates {0.003, 0.01, 0.03, 0.1, 0.3} across the knee
-and one dense reference per alpha, then prints the accuracy pivot table.
-Over six seeds at alpha 0.3 and 50 rounds, top-k matched dense from 0.1
-to 0.4 and lost accuracy below 0.03. Every cell runs on the base config's seed, so the cells of
-one alpha share data, partition, init and batch order and differ only in
-policy. Results land in results/rate_alpha/ (sweep.csv, sweep.txt,
-per-cell outputs).
+One `fedsparse sweep` of the synthetic 3-class task (227 params) at seed
+0 and --rounds rounds (default 50): alpha in {0.3, 0.6}, log-spaced top-k
+rates {0.003, 0.01, 0.03, 0.1, 0.3} across the knee and one dense
+reference per alpha. It prints the accuracy pivot table (sweep.txt).
+Every cell runs on the base config's seed, so the cells of one alpha
+share data, partition, init and batch order and differ only in policy.
+Results land in results/rate_alpha/ (sweep.csv, sweep.txt, per-cell
+outputs).
 """
 
 import argparse

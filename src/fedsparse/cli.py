@@ -128,17 +128,24 @@ def _run_cell(base: ExperimentConfig, data: tuple, cell_dir: str,
 
 def _pivot_table(pivot: dict) -> str:
     """Plain-text accuracy pivot: one block per policy, rate x alpha, from
-    {(policy, rate, alpha): accuracy, or None for a failed cell}."""
+    {(policy, rate, alpha): accuracy, or None for a failed cell}. Labels are
+    printed as sweep.csv prints them (repr), so distinct values never share
+    one; a column is 10 (rate) or 18 (alpha) wide, or one more than its
+    longest label."""
     alphas = sorted({alpha for _, _, alpha in pivot})
+    headers = [f"alpha={a!r}" for a in alphas]
+    widths = [max(18, len(header) + 1) for header in headers]
+    rate_width = max(10, 1 + max(len(repr(r)) for _, r, _ in pivot))
     out = []
     for kind in sorted({k for k, _, _ in pivot}):
         out.append(f"policy: {kind}")
-        out.append(("rate".ljust(10) + "".join(f"alpha={a:<12g}" for a in alphas)).rstrip())
+        out.append(("rate".ljust(rate_width)
+                    + "".join(h.ljust(w) for h, w in zip(headers, widths))).rstrip())
         for rate in sorted({r for k, r, _ in pivot if k == kind}):
-            cells = [f"{rate:<10g}"]
-            for a in alphas:
+            cells = [repr(rate).ljust(rate_width)]
+            for a, width in zip(alphas, widths):
                 accuracy = pivot.get((kind, rate, a))
-                cells.append(f"{'-':<18}" if accuracy is None else f"{accuracy:<18.4f}")
+                cells.append(("-" if accuracy is None else f"{accuracy:.4f}").ljust(width))
             out.append("".join(cells).rstrip())
         out.append("")
     return "\n".join(out)

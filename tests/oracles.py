@@ -10,7 +10,9 @@ is federation.client_local_train's upload as a plain loop over gradient
 and sparsify, checked after every step, so it fails at the batch the
 package's replay names. oracle_run is federation.run_experiment as one
 serial loop over local_train, with none of federation's round code: the
-reference the tests hold the whole run to. finite_diff_grad checks
+reference the tests hold the whole run to. oracle_sweep is `fedsparse
+sweep` built from `fedsparse run` calls, with none of the sweep code; the
+tests compare its files to a sweep's through output_files. finite_diff_grad checks
 model.backward; log_gamma, DirichletParams, sample_dirichlet and
 dirichlet_log_pdf check the Dirichlet sampler that
 partition.partition_dataset draws client proportions from. Log-Gamma
@@ -23,12 +25,19 @@ compares two updates field by field.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import re
 import struct
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from fedsparse.cli import main
 from fedsparse.data import Dataset
 from fedsparse.federation import TrainingDiverged
 from fedsparse.model import (ModelSpec, _activations, backward, check_fit, init_params, loss,
@@ -150,6 +159,119 @@ def oracle_run(cfg, train_ds: Dataset, test_ds: Dataset) -> tuple[str, np.ndarra
         rows.append(f"{t},{value!r},{int(hits.sum()) / len(test_ds)!r},"
                     f"{uplink},{k * (27 + 8 * w.shape[0])}")
     return "\n".join(rows) + "\n", w
+
+
+def output_files(directory) -> dict[str, bytes]:
+    """{path relative to directory: bytes} of every file under it, with the
+    wall_time_s line of each summary.json left out: the one output a rerun
+    does not repeat."""
+    directory = Path(directory)
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.json":
+                data = re.sub(rb'\n *"wall_time_s": [^\n]*', b"", data)
+            files[path.relative_to(directory).as_posix()] = data
+    return files
+
+
+def _run(doc: dict, config: Path, out: Path) -> tuple[int, list[str]]:
+    """`fedsparse run` on doc, written to config, into out: its exit code
+    and stderr lines."""
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", str(config), "--out", str(out), "--quiet"])
+    return code, err.getvalue().splitlines()
+
+
+# The config key a sweep grid's rate fills for each policy kind; dense takes
+# none and runs once per alpha at rate 1.0 (README, "Running experiments").
+_RATE_KEY = {"top_k": "rate", "random": "rate", "threshold": "tau", "dense": None}
+
+
+def _pivot_text(accuracies: dict) -> str:
+    """sweep.txt from {(kind, rate, alpha): accuracy or None}: one block per
+    kind in sorted order, a row per rate and a column per alpha, both sorted
+    and labelled by repr, 4-decimal accuracies and - for a failed cell; a
+    column is padded to 10 (rates) or 18 wide, or to its longest entry plus
+    one, and each line is stripped on the right."""
+    alphas = sorted({alpha for _, _, alpha in accuracies})
+    blocks = []
+    for kind in sorted({k for k, _, _ in accuracies}):
+        rows = [["rate", *(f"alpha={alpha!r}" for alpha in alphas)]]
+        for rate in sorted({r for k, r, _ in accuracies if k == kind}):
+            values = [accuracies.get((kind, rate, alpha)) for alpha in alphas]
+            rows.append([repr(rate), *("-" if v is None else f"{v:.4f}" for v in values)])
+        blocks.append((kind, rows))
+    table = [row for _, rows in blocks for row in rows]
+    widths = [max(18 if column else 10, *(len(row[column]) + 1 for row in table))
+              for column in range(len(alphas) + 1)]
+    lines = []
+    for kind, rows in blocks:
+        lines.append(f"policy: {kind}")
+        lines.extend("".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                     for row in rows)
+        lines.append("")
+    return "\n".join(lines)
+
+
+def oracle_sweep(config, grid: dict) -> tuple[int, list[str], dict[str, bytes]]:
+    """The exit code, stderr lines and output_files of `fedsparse sweep
+    config --grid <grid> --quiet`, for a well-formed grid over a config
+    whose input loads, built from `fedsparse run` calls only.
+
+    If `run` on the config exits 1, the sweep gives its exit code and stderr
+    and writes nothing. Otherwise the cells are the distinct (alpha, kind,
+    rate) of the grid in alpha x policy x rate order, first appearance
+    kept, a dense cell at rate 1.0; cell i is `run` on the config document
+    with the cell's alpha and policy (the rate as a threshold's tau), and
+    its three files go under cells/cell_{i:03d}. An ok cell is a sweep.csv
+    row of reprs ending in ok; a failed cell a row ending ,,,failed and the
+    stderr line `cell alpha=... policy=... rate=... failed: ` with the
+    run's message after its `fedsparse: ...error: ` prefix. The exit code is
+    0 with no cell failed, 2 with all failed and 3 otherwise."""
+    doc = json.loads(Path(config).read_text())
+    cells = []
+    for alpha in grid["alpha"]:
+        for kind in grid.get("policy", ["top_k"]):
+            for rate in grid["rate"]:
+                cell = (float(alpha), kind, float(rate) if _RATE_KEY[kind] else 1.0)
+                if cell not in cells:
+                    cells.append(cell)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stderr = _run(doc, Path(tmp, "base.json"), Path(tmp, "base"))
+        if code == 1:
+            return code, stderr, {}
+        out = Path(tmp, "out")
+        rows = ["alpha,policy,rate,final_accuracy,uplink_bytes,status"]
+        accuracies = {}
+        failed = []
+        for i, (alpha, kind, rate) in enumerate(cells):
+            key = _RATE_KEY[kind]
+            policy = {"kind": kind, key: rate} if key else {"kind": kind}
+            cell_out = out / "cells" / f"cell_{i:03d}"
+            code, stderr = _run({**doc, "alpha": alpha, "policy": policy},
+                                Path(tmp, f"cell_{i:03d}.json"), cell_out)
+            if code == 0:
+                summary = json.loads((cell_out / "summary.json").read_text())
+                accuracy = summary["final_accuracy"]
+                rows.append(f"{alpha!r},{kind},{rate!r},{accuracy!r},"
+                            f"{summary['total_uplink_bytes']},ok")
+            else:
+                [line] = stderr
+                message = re.fullmatch(r"fedsparse: (?:config )?error: (.*)", line)[1]
+                failed.append(f"cell alpha={alpha} policy={kind} rate={rate} "
+                              f"failed: {message}")
+                accuracy = None
+                rows.append(f"{alpha!r},{kind},{rate!r},,,failed")
+            accuracies[kind, rate, alpha] = accuracy
+        files = output_files(out)
+    files["sweep.csv"] = ("\n".join(rows) + "\n").encode()
+    files["sweep.txt"] = _pivot_text(accuracies).encode()
+    code = 0 if not failed else 2 if len(failed) == len(cells) else 3
+    return code, failed, files
 
 
 def finite_diff_grad(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,

@@ -21,7 +21,8 @@ from fedsparse.federation import (ClientState, ServerState, build_dataset,
                                   run_experiment, run_round)
 from fedsparse.model import ModelSpec, init_params
 from fedsparse.partition import _sample_proportions
-from fedsparse.sparsify import HEADER_BYTES, SparseUpdate, SparsityPolicy, encode, sparsify
+from fedsparse.sparsify import (HEADER_BYTES, SparseUpdate, SparsityPolicy, encode,
+                                encoded_size, sparsify)
 from oracles import (DirichletParams, decode, dirichlet_log_pdf, finite_diff_grad, gradient,
                      update_fields)
 
@@ -123,8 +124,9 @@ def test_criterion_2_sparsifier_oracles():
 
 
 def test_criterion_3_codec_identity():
-    """The oracle decodes encode(u) to u's fields on 10^4 updates; length
-    exactly 27 + 8m."""
+    """The oracle decodes encode(u) to u's fields on 10^4 updates, the
+    empty and a full one among them; length exactly 27 + 8m, which
+    encoded_size meters."""
     with criterion(3, "codec identity on 10^4 updates, length 27 + 8m"):
         rng = np.random.default_rng(11)
         checked_empty = checked_full = False
@@ -142,7 +144,7 @@ def test_criterion_3_codec_identity():
                              round=int(rng.integers(0, 2 ** 32)),
                              client_id=int(rng.integers(0, 2 ** 16)))
             data = encode(u)
-            assert len(data) == 27 + 8 * count
+            assert len(data) == 27 + 8 * count == encoded_size(count)
             assert update_fields(decode(data)) == update_fields(u)
             checked_empty |= count == 0
             checked_full |= count == dim

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from fedsparse.config import parse_config
 from fedsparse.federation import build_dataset, run_experiment
 from fedsparse.data import csv_text, gen_synthetic
 from fedsparse.partition import MIN_ALPHA
+from oracles import oracle_sweep, output_files
 
 
 def write_boundary_case(tmp: str, case: dict) -> Path:
@@ -258,205 +260,92 @@ class TestSweep:
                            min_size=1, max_size=2),
         "rate": st.lists(st.sampled_from([1e-9, 0.3, 1.5]), min_size=1, max_size=1),
     })
+    # 2 alphas x (4 top-k rates + dense): 10 cells, not 16
+    GRID_G = {"alpha": [0.3, 0.6], "rate": [0.1, 0.2, 0.3, 0.4],
+              "policy": ["top_k", "dense"]}
+    # a failing alpha and an out-of-range rate next to cells that run, a
+    # repeated rate, alphas and kinds out of order, and 0.05 as a tau
+    GRID_P = {"alpha": [0.5, 1e-7], "policy": ["top_k", "dense", "threshold"],
+              "rate": [0.05, 1.5, 0.05]}
+    SYNTHETIC = {**TestRun.PINNED, "data": ("synthetic", 3, 6, 0)}
 
-    @given(case=TestRun.BOUNDARY_CASES, grid=GRIDS)
-    @example(case={**TestRun.PINNED, "data": ("synthetic", 3, 6, 0)},
-             grid={"alpha": [1e-7, 0.3], "policy": ["top_k"], "rate": [0.3]})
-    @example(case={**TestRun.PINNED, "data": ("rare_class_csv", 3, 6, 0), "clients": 40},
-             grid={"alpha": [0.3], "policy": ["top_k", "dense"], "rate": [0.3]})
-    @settings(max_examples=40, deadline=None)
-    def test_outcome_contract_under_either_warning_filter(self, case, grid):
-        """`sweep` in-process under the default filter and under warnings as
-        errors: the same exit code and stderr both times. Exit 1 comes exactly
-        when `run` on the drawn config exits 1, with its one config error
-        line, and writes nothing; otherwise sweep.csv has one row per cell,
-        each failed cell one stderr line, and the exit code is 0 with none
-        failed, 2 with all failed and 3 with some."""
+    # Pinned grids, each run at --jobs 1 and, where listed, through the real
+    # process pool at --jobs 3
+    PINNED_GRIDS = {
+        "grid_g": (SYNTHETIC, GRID_G, (1, 3)),
+        "partial_failure": (SYNTHETIC, GRID_P, (1, 3)),
+        "every_cell_diverges": (
+            {**TestRun.PINNED, "data": ("synthetic", 2, 6, 0), "learning_rate": 1e150,
+             "sparsify_site": "local_gradient", "batch_size": 4, "rounds": 2},
+            {"alpha": [0.3, 1e3], "policy": ["random", "top_k"], "rate": [0.3]}, (1, 3)),
+        "base_config_error": (
+            {**TestRun.PINNED, "data": ("synthetic", 3, 1, 0)}, GRID_G, (1, 3)),
+        # values that print alike at 6 significant digits
+        "near_equal_labels": (
+            SYNTHETIC, {"alpha": [0.5, 0.50000001], "rate": [0.1, 0.1000001]}, (1, 3)),
+        # labels longer than their column's least width
+        "long_labels": (SYNTHETIC, {"alpha": [0.1 + 0.2, 1e3], "rate": [0.1 + 0.2]}, (1,)),
+        # more clients than training rows: the split's config error
+        "split_config_error": (
+            {**TestRun.PINNED, "data": ("rare_class_csv", 3, 6, 0), "clients": 40},
+            {"alpha": [0.3], "policy": ["top_k", "dense"], "rate": [0.3]}, (1,)),
+    }
+
+    def check_sweep(self, case, grid, actions, jobs):
+        """`sweep` in-process under each warning filter in actions, at each
+        --jobs value: the exit code, stderr lines and files of oracle_sweep,
+        which builds them from `fedsparse run` calls. No two rows or columns
+        of the pivot share a label."""
         with tempfile.TemporaryDirectory() as tmp:
             config = write_boundary_case(tmp, case)
             grid_path = self.write_grid(Path(tmp), grid)
-            outcomes = []
-            for action in ("default", "error"):
-                out = Path(tmp, action)
-                err, run_err = io.StringIO(), io.StringIO()
-                with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            expected = oracle_sweep(config, grid)
+            for action, count in itertools.product(actions, jobs):
+                out = Path(tmp, f"{action}_{count}")
+                err = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
                     warnings.simplefilter(action)
-                    with contextlib.redirect_stderr(run_err):
-                        run_code = main(["run", str(config), "--out", str(Path(tmp, "run")),
-                                         "--quiet"])
-                    with contextlib.redirect_stderr(err):
-                        code = main(["sweep", str(config), "--grid", str(grid_path),
-                                     "--out", str(out), "--quiet"])
-                outcomes.append((code, err.getvalue()))
-                assert (code == EXIT_USAGE) == (run_code == EXIT_USAGE)
-                if code == EXIT_USAGE:
-                    assert err.getvalue() == run_err.getvalue()
-                    assert re.fullmatch(r"fedsparse: config error: [\w.]+: [^\n]+\n",
-                                        err.getvalue())
-                    assert not out.exists()
-                    continue
-                status = [row.rsplit(",", 1)[1]
-                          for row in (out / "sweep.csv").read_text().splitlines()[1:]]
-                assert status and set(status) <= {"ok", "failed"}
-                failed = err.getvalue().splitlines()
-                assert len(failed) == status.count("failed")
-                assert all(re.fullmatch(r"cell alpha=\S+ policy=\w+ rate=\S+ failed: .+", line)
-                           for line in failed)
-                assert code == (EXIT_OK if not failed else
-                                EXIT_RUNTIME if len(failed) == len(status) else EXIT_PARTIAL)
-            assert outcomes[0] == outcomes[1]
+                    code = main(["sweep", str(config), "--grid", str(grid_path),
+                                 "--out", str(out), "--quiet", "--jobs", str(count)])
+                assert (code, err.getvalue().splitlines(), output_files(out)) == expected, \
+                    (action, count)
+                assert out.exists() == bool(expected[2])
+        for block in filter(None, expected[2].get("sweep.txt", b"").decode().split("\n\n")):
+            _, header, *rows = block.splitlines()
+            for labels in (header.split(), [row.split()[0] for row in rows]):
+                assert len(set(labels)) == len(labels), block
 
-    def test_full_grid_shape(self, smoke_config, tmp_path, capsys):
+    @given(case=TestRun.BOUNDARY_CASES, grid=GRIDS)
+    @settings(max_examples=40, deadline=None)
+    def test_outputs_equal_per_cell_runs(self, case, grid):
+        self.check_sweep(case, grid, ("default", "error"), (1,))
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("name", list(PINNED_GRIDS))
+    def test_pinned_grid_equals_per_cell_runs(self, name, action):
+        case, grid, jobs = self.PINNED_GRIDS[name]
+        self.check_sweep(case, grid, (action,), jobs)
+
+    def test_oracle_calls_no_sweep_code(self, smoke_config, tmp_path, monkeypatch):
+        """oracle_sweep gives a sweep's outcome with the sweep's own code made
+        to raise, so the property compares two independent builds."""
         path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.3, 0.6],
-                                          "rate": [0.1, 0.2, 0.3, 0.4],
-                                          "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        rows = Path(out, "sweep.csv").read_text().splitlines()
-        assert rows[0] == "alpha,policy,rate,final_accuracy,uplink_bytes,status"
-        assert len(rows) == 9  # header + 2 alphas x 4 rates
-        assert all(r.endswith(",ok") for r in rows[1:])
-        table = Path(out, "sweep.txt").read_text().splitlines()
-        assert table[:2] == ["policy: top_k", "rate      alpha=0.3         alpha=0.6"]
-        assert all(line == line.rstrip() for line in table)
-        # per-cell artifacts
-        assert os.path.exists(os.path.join(out, "cells",
-                                           "cell_000", "metrics.csv"))
+        grid = self.write_grid(tmp_path, self.GRID_P)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sweep", str(path), "--grid", str(grid), "--out", str(out), "--quiet"])
 
-    def test_bytes_increase_with_rate_within_group(self, smoke_config, tmp_path):
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.3],
-                                          "rate": [0.1, 0.2, 0.3, 0.4],
-                                          "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
-        totals = [int(r.split(",")[4]) for r in rows]
-        assert totals == sorted(totals)
-        assert len(set(totals)) == len(totals)  # strictly increasing
+        def sweep_code(*args, **kwargs):
+            raise AssertionError("oracle_sweep called sweep code")
 
-    def test_single_cell_matches_direct_run(self, smoke_config, tmp_path):
-        """A 1x1 grid reproduces a plain run of the base config."""
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3],
-                                          "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        cell_metrics = Path(out, "cells", "cell_000", "metrics.csv").read_text()
-        # the cell runs on the base seed, and its alpha/policy equal the base config
-        assert main(["run", str(path), "--out", str(tmp_path / "direct")]) == EXIT_OK
-        direct_metrics = Path(tmp_path, "direct", "metrics.csv").read_text()
-        assert cell_metrics == direct_metrics
-
-    def test_dense_cells_share_rate_one(self, smoke_config, tmp_path, capsys):
-        """A dense cell ignores the grid rate, so it runs once per alpha with
-        rate 1.0 in the CSV, the pivot and a failed cell's message."""
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5, 1e-7], "rate": [0.2, 0.4],
-                                          "policy": ["dense"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_PARTIAL
-        rows = [r.split(",") for r in
-                Path(out, "sweep.csv").read_text().splitlines()[1:]]
-        assert [(r[0], r[1], r[2], r[5]) for r in rows] == [
-            ("0.5", "dense", "1.0", "ok"), ("1e-07", "dense", "1.0", "failed")]
-        assert sorted(os.listdir(Path(out, "cells"))) == ["cell_000"]
-        table = Path(out, "sweep.txt").read_text().splitlines()
-        assert [line.split() for line in table] == [
-            ["policy:", "dense"], ["rate", "alpha=1e-07", "alpha=0.5"],
-            ["1", "-", f"{float(rows[0][3]):.4f}"]]
-        assert capsys.readouterr().err.splitlines() == [
-            "cell alpha=1e-07 policy=dense rate=1.0 failed: alpha: must be >= 1e-05 "
-            "(smaller can underflow every Dirichlet draw)"]
-
-    GRID_G = {"alpha": [0.3, 0.6], "rate": [0.1, 0.2, 0.3, 0.4],
-              "policy": ["top_k", "dense"]}
-
-    def test_grid_runs_each_distinct_cell_once(self, smoke_config, tmp_path):
-        """2 alphas x (4 top-k rates + dense): 10 cells, not 16."""
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, self.GRID_G)
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
-        assert [tuple(r.split(",")[:3]) for r in rows] == [
-            (alpha, kind, rate) for alpha in ("0.3", "0.6")
-            for kind, rate in [("top_k", "0.1"), ("top_k", "0.2"), ("top_k", "0.3"),
-                               ("top_k", "0.4"), ("dense", "1.0")]]
-        assert all(r.endswith(",ok") for r in rows)
-        assert sorted(os.listdir(Path(out, "cells"))) == \
-            [f"cell_{i:03d}" for i in range(10)]
-
-    def test_every_cell_is_a_direct_run_on_the_base_seed(self, smoke_config, tmp_path):
-        """Each cell's summary.json echoes the base seed, and `fedsparse run`
-        on that echoed config writes the cell's metrics.csv byte for byte."""
-        path, doc, out = smoke_config
-        grid = self.write_grid(tmp_path, self.GRID_G)
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        cells = sorted(Path(out, "cells").iterdir())
-        assert len(cells) == 10
-        for cell in cells:
-            echoed = json.loads((cell / "summary.json").read_text())["config"]
-            assert echoed["seed"] == doc["seed"]
-            config = tmp_path / f"{cell.name}.json"
-            config.write_text(json.dumps(echoed))
-            direct = tmp_path / "direct" / cell.name
-            assert main(["run", str(config), "--out", str(direct), "--quiet"]) == EXIT_OK
-            assert (direct / "metrics.csv").read_bytes() == \
-                (cell / "metrics.csv").read_bytes()
-
-    def test_repeated_rate_runs_one_cell(self, smoke_config, tmp_path):
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.2, 0.2],
-                                          "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[:3] for r in rows] == [["0.5", "top_k", "0.2"]]
-        assert os.listdir(Path(out, "cells")) == ["cell_000"]
-
-    def test_threshold_cell_takes_grid_rate_as_tau(self, smoke_config, tmp_path):
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.05],
-                                          "policy": ["threshold"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_OK
-        summary = json.loads(Path(out, "cells", "cell_000",
-                                  "summary.json").read_text())
-        assert summary["config"]["policy"] == {"kind": "threshold", "tau": 0.05}
-
-    def test_failed_cell_reads_dash_in_pivot(self, smoke_config, tmp_path):
-        path, _, out = smoke_config
-        grid = self.write_grid(tmp_path, {"alpha": [0.5], "rate": [0.3, 1.5],
-                                          "policy": ["top_k"]})
-        assert main(["sweep", str(path), "--grid", str(grid), "--out", str(out),
-                     "--quiet"]) == EXIT_PARTIAL
-        accuracy = float(Path(out, "sweep.csv").read_text()
-                         .splitlines()[1].split(",")[3])
-        table = Path(out, "sweep.txt").read_text().splitlines()
-        assert [line.split() for line in table[2:]] == [
-            ["0.3", f"{accuracy:.4f}"], ["1.5", "-"]]
-
-    def test_jobs_1_and_3_write_identical_files(self, smoke_config, tmp_path):
-        """The process pool changes no output on a grid with dense cells;
-        only summary.json differs, by its wall time."""
-        path, _, _ = smoke_config
-        grid = self.write_grid(tmp_path, self.GRID_G)
-        for jobs in ("1", "3"):
-            assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
-                         "--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
-        files = sorted(p.relative_to(tmp_path / "1")
-                       for p in (tmp_path / "1").rglob("*")
-                       if p.is_file() and p.name != "summary.json")
-        assert len(files) == 2 + 10 * 2
-        assert files == sorted(p.relative_to(tmp_path / "3")
-                               for p in (tmp_path / "3").rglob("*")
-                               if p.is_file() and p.name != "summary.json")
-        for name in files:
-            assert (tmp_path / "1" / name).read_bytes() == \
-                (tmp_path / "3" / name).read_bytes(), name
+        for module, name in [(cli, "_cmd_sweep"), (cli, "_run_cell"), (cli, "_pivot_table"),
+                             (cli, "parse_grid"), (cli, "cell_policy"),
+                             (fedsparse.config, "parse_grid"), (fedsparse.config, "cell_policy")]:
+            monkeypatch.setattr(module, name, sweep_code)
+        assert oracle_sweep(path, self.GRID_P) == \
+            (code, err.getvalue().splitlines(), output_files(out))
+        assert code == EXIT_PARTIAL
 
     @staticmethod
     def record_pool(monkeypatch, failing_call=None):
