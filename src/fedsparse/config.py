@@ -2,9 +2,11 @@
 
 A config file is a single JSON object. Only "seed", "dataset" and
 "policy" are required; everything else has a default. Unknown keys are
-rejected by name, invalid values are rejected with the field path and
-the violated constraint. An integer beyond float range reads as the
-infinity its float spelling does (10**400 as 1e400).
+rejected by name, and so is a key given twice in one object (in a
+config, grid or spec file alike); invalid values are rejected with the
+field path and the violated constraint. A file that is not UTF-8 is
+invalid JSON, naming the file. An integer beyond float range reads as
+the infinity its float spelling does (10**400 as 1e400).
 
 The config types own the schema: their fields are the keys, their field
 defaults the defaults and their __post_init__ the range rules, so a
@@ -271,15 +273,26 @@ def _json_int(text: str):
     return int(text) if math.isfinite(value) else value
 
 
+def _unique_keys(path, pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; a key given twice is an
+    error naming the file and the key, not a silent last-one-wins."""
+    obj = {}
+    for key, value in pairs:
+        _require(key not in obj, str(path), f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path, what: str):
-    """The JSON document in the file at path; `what` names the file
+    """The JSON document in the UTF-8 file at path; `what` names the file
     ("config", "grid", "spec") when it is missing."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=_json_int,
+                             object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path, PurePosixPath
 
 import numpy as np
@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 import fedsparse
 from fedsparse import cli, federation
 from fedsparse.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
-from fedsparse.config import parse_config
+from fedsparse.config import (ConfigError, CsvDataConfig, ModelConfig, SyntheticDataConfig,
+                              cell_policy, parse_config, parse_config_dict)
 from fedsparse.federation import build_dataset, run_experiment
 from fedsparse.data import csv_text, gen_synthetic
 from fedsparse.partition import MIN_ALPHA
+from fedsparse.sparsify import POLICY_PARAM, SparsityPolicy, retained_count
 from oracles import oracle_sweep, output_files
 
 
@@ -511,6 +513,10 @@ class Outcome:
     stderr: list
     outputs: tuple = ()  # every file the call leaves besides `files`
     check: tuple = ()  # (reader of the row's directory, the value it must give)
+    # (base document, {key: value}): the input file is the base with these
+    # keys replaced, and the rule has an owning type, so the same edit made
+    # in code must raise the row's message (test_code_built_input_gives_the_row_message)
+    edit: tuple = ()
 
 
 def dataset(**keys) -> dict:
@@ -589,6 +595,10 @@ INPUT_MISTAKES = {
                test_fraction=0.5, data="0.5,1.0,0\n1.5,2.0,0\n"), 1,
         CONFIG_ERROR + "dataset.normalize: needs at least two training rows, the split "
                        "leaves 1"),
+    "every_class_a_single_row": (
+        inputs(INPUT_MISTAKE, data="0.5,1.0,0\n1.5,2.0,1\n"), 1,
+        CONFIG_ERROR + "dataset: every class has a single row, which stays in train, so no "
+                       "test_fraction leaves a test row"),
 }
 MISTAKE_GRID = json.dumps({"alpha": [0.3, 0.6], "rate": [0.3], "policy": ["top_k", "random"]})
 SPLIT_MISTAKES = {
@@ -598,9 +608,150 @@ SPLIT_MISTAKES = {
     "more_clients_than_training_rows": (
         {"clients": 49}, "clients: must be <= 48, the training rows the split leaves"),
 }
+SPLIT_BASE = {**CI, "seed": 3, "dataset": dataset(), "rounds": 1, "test_fraction": 0.2}
 ONE_CELL = {"alpha": [0.5], "rate": [0.3]}
 INVALID_JSON = ("invalid JSON: Expecting property name enclosed in double quotes: "
                 "line 1 column 2 (char 1)")
+NOT_UTF8 = "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+NON_FINITE = [("infinite", math.inf), ("negative_infinite", -math.inf), ("nan", math.nan)]
+ALPHA_FINITE = "alpha: must be finite"
+ALPHA_FLOOR = "alpha: must be >= 1e-05 (smaller can underflow every Dirichlet draw)"
+LEARNING_RATE_FINITE = "learning_rate: must be finite"
+RATE_RANGE = "policy.rate: must be in (0, 1]"
+SEPARATION_FINITE = "separation: must be finite"  # under dataset. or spec.
+PER_CLASS_INTEGER = "dataset.per_class: must be an integer"
+
+# Rules a config type owns in its __post_init__ (SparsityPolicy's for the
+# policy): (row id, keys that replace SMOKE's, message). Each is a row, and
+# test_code_built_input_gives_the_row_message makes the same edit in code.
+OWNED_RULES = [
+    ("negative_seed", {"seed": -1}, "seed: must be >= 0"),
+    ("zero_clients", {"clients": 0}, "clients: must be >= 1"),
+    ("clients_past_the_u16_id", {"clients": 65536},
+     "clients: must be <= 65535 (the FSU1 client id is a u16)"),
+    *((f"{name}_alpha", {"alpha": value}, ALPHA_FINITE) for name, value in NON_FINITE),
+    *((name, {"alpha": value}, "alpha: must be > 0")
+      for name, value in [("zero_alpha", 0.0), ("negative_alpha", -1.0)]),
+    *((name, {"alpha": value}, ALPHA_FLOOR)
+      for name, value in [("alpha_below_the_floor", 1e-7), ("tiny_alpha", 1e-300),
+                          ("alpha_just_below_the_floor", 0.999 * MIN_ALPHA)]),
+    ("unknown_sparsify_site", {"sparsify_site": "midway"},
+     "sparsify_site: must be 'uploaded_delta' or 'local_gradient'"),
+    ("zero_rounds", {"rounds": 0}, "rounds: must be >= 1"),
+    ("rounds_past_the_u32_round", {"rounds": 2 ** 32},
+     "rounds: must be <= 4294967295 (the FSU1 round is a u32)"),
+    ("zero_local_epochs", {"local_epochs": 0}, "local_epochs: must be >= 1"),
+    *((f"{name}_learning_rate", {"learning_rate": value}, LEARNING_RATE_FINITE)
+      for name, value in NON_FINITE),
+    *((name, {"learning_rate": value}, "learning_rate: must be > 0")
+      for name, value in [("zero_learning_rate", 0.0), ("negative_learning_rate", -0.5)]),
+    ("zero_batch_size", {"batch_size": 0}, "batch_size: must be >= 1"),
+    *((name, {"participation": value}, "participation: must be in (0, 1]")
+      for name, value in [("zero_participation", 0.0), ("participation_above_one", 1.5)]),
+    *((name, {"test_fraction": value}, "test_fraction: must be in (0, 1)")
+      for name, value in [("zero_test_fraction", 0.0), ("test_fraction_of_one", 1.0)]),
+    # the split of 3 classes of 100 rows: 0.004 of 100 rounds to no test row,
+    # and at 0.2 it leaves 240 training rows
+    ("test_fraction_below_one_test_row",
+     {"dataset": dataset(per_class=100), "test_fraction": 0.004},
+     "test_fraction: must be large enough to leave a test row, but 0.004 of every class "
+     "rounds to none"),
+    ("clients_past_240_training_rows", {"dataset": dataset(per_class=100), "clients": 241},
+     "clients: must be <= 240, the training rows the split leaves"),
+    ("clients_past_3_training_rows",
+     {"dataset": dataset(per_class=2), "clients": 4, "test_fraction": 0.999},
+     "clients: must be <= 3, the training rows the split leaves"),
+    # input_dim d, one hidden layer of h, c classes: h * (d + 1 + c) + c params
+    ("model_past_the_u32_index",
+     {"model": {"hidden": [4]}, "dataset": dataset(input_dim=2 ** 30 - 7, classes=5)},
+     "model.hidden: gives 4294967297 params, more than 4294967296 (the FSU1 index is a u32)"),
+    *((name, {"dataset": data}, "dataset.classes: must be >= 2")
+      for name, data in [("one_class", dataset(classes=1)), ("csv_one_class", csv_dataset(3, 1))]),
+    *((name, {"dataset": data}, "dataset.input_dim: must be >= 1")
+      for name, data in [("zero_input_dim", dataset(input_dim=0)),
+                         ("csv_zero_input_dim", csv_dataset(0, 2))]),
+    *((name, {"dataset": dataset(per_class=value)}, "dataset.per_class: must be >= 2")
+      for name, value in [("zero_per_class", 0), ("single_sample_synthetic", 1)]),
+    *((f"{name}_separation", {"dataset": dataset(separation=value)},
+       "dataset." + SEPARATION_FINITE) for name, value in NON_FINITE),
+    ("negative_separation", {"dataset": dataset(separation=-0.5)},
+     "dataset.separation: must be >= 0"),
+    ("zero_width_hidden_layer", {"model": {"hidden": [4, 0]}},
+     "model.hidden: every width must be >= 1"),
+    ("unknown_activation", {"model": {"activation": "sigmoid"}},
+     "model.activation: must be 'relu' or 'tanh'"),
+    *((name, {"policy": policy}, RATE_RANGE)
+      for name, policy in [("top_k_rate_above_one", {"kind": "top_k", "rate": 1.5}),
+                           ("zero_random_rate", {"kind": "random", "rate": 0.0})]),
+    ("top_k_without_rate", {"policy": {"kind": "top_k"}}, "policy.rate: is required for top_k"),
+    ("threshold_without_tau", {"policy": {"kind": "threshold"}},
+     "policy.tau: is required for threshold"),
+    *((f"{name}_tau", {"policy": {"kind": "threshold", "tau": value}},
+       "policy.tau: must be finite") for name, value in NON_FINITE),
+    ("negative_tau", {"policy": {"kind": "threshold", "tau": -1.0}}, "policy.tau: must be >= 0"),
+    ("unknown_policy_kind", {"policy": {"kind": "banana"}},
+     "policy.kind: must be one of 'top_k', 'threshold', 'random', 'dense'"),
+    ("tau_on_top_k", {"policy": {"kind": "top_k", "rate": 0.2, "tau": -5.0}},
+     "policy.tau: top_k takes only rate"),
+    ("rate_on_threshold", {"policy": {"kind": "threshold", "tau": 0.1, "rate": 0.2}},
+     "policy.rate: threshold takes only tau"),
+    *((f"{param}_on_dense", {"policy": {"kind": "dense", param: 0.5}},
+       f"policy.{param}: dense takes no parameters") for param in ("rate", "tau")),
+]
+# Rules the reader and the parser own: the file's JSON (UTF-8, no key given
+# twice) and its shape (types, presence, unknown keys), as (row id,
+# config.json, message)
+PARSER_RULES = [
+    ("config_missing_dataset", json.dumps({"seed": 1}), "dataset: is required"),
+    *((f"config_missing_{key}", json.dumps({k: v for k, v in SMOKE.items() if k != key}),
+       f"{key}: is required") for key in ("seed", "policy")),
+    ("config_not_an_object", "[]", "config: must be a JSON object"),
+    ("config_invalid_json", "{not json", "config.json: " + INVALID_JSON),
+    ("config_in_utf16", json.dumps(SMOKE).encode("utf-16"), "config.json: " + NOT_UTF8),
+    ("duplicate_key", json.dumps(SMOKE)[:-1] + ', "rounds": 1}',
+     "config.json: duplicate key 'rounds'"),
+    ("duplicate_dataset_key",
+     json.dumps(SMOKE).replace('"per_class": 20', '"per_class": 20, "per_class": 30'),
+     "config.json: duplicate key 'per_class'"),
+    *((name, json.dumps({**SMOKE, **keys}), message) for name, keys, message in [
+        ("misspelt_key", {"lerning_rate": 0.1}, "unknown key 'lerning_rate'"),
+        ("unknown_dataset_key", {"dataset": dataset(classez=4)},
+         "unknown key 'classez' in dataset"),
+        ("dataset_not_an_object", {"dataset": []}, "dataset: must be an object"),
+        ("model_not_an_object", {"model": [16]}, "model: must be an object"),
+        ("unknown_dataset_kind", {"dataset": {"kind": "parquet"}},
+         "dataset.kind: must be 'synthetic' or 'csv', got 'parquet'"),
+        ("csv_without_path", {"dataset": {"kind": "csv"}}, "dataset.path: is required"),
+        ("seed_a_string", {"seed": "banana"}, "seed: must be an integer"),
+        ("alpha_a_string", {"alpha": "big"}, "alpha: must be a number"),
+        ("sparsify_site_a_number", {"sparsify_site": 1}, "sparsify_site: must be a string"),
+        ("hidden_of_floats", {"model": {"hidden": [8.5]}},
+         "model.hidden: must be a list of integers"),
+        ("csv_normalize_a_string", {"dataset": csv_dataset(4, 3, normalize="yes")},
+         "dataset.normalize: must be true or false"),
+        # an integer beyond float range fails as its float spelling (1e400) does
+        ("oversized_learning_rate", {"learning_rate": BIG}, LEARNING_RATE_FINITE),
+        ("oversized_policy_rate", {"policy": {"kind": "top_k", "rate": BIG}}, RATE_RANGE),
+        ("oversized_separation", {"dataset": dataset(separation=BIG)},
+         "dataset." + SEPARATION_FINITE),
+        ("oversized_per_class", {"dataset": dataset(per_class=BIG)}, PER_CLASS_INTEGER)]),
+    ("per_class_past_the_int_digit_limit",
+     json.dumps(SMOKE).replace('"per_class": 20', '"per_class": ' + "9" * 5000),
+     PER_CLASS_INTEGER),
+]
+# gen-data spec rules: (row id, spec.json, message, whether
+# SyntheticDataConfig owns the rule)
+SPEC_RULES = [
+    ("unknown_key", {"classses": 3}, "unknown key 'classses' in spec", False),
+    ("classes_a_string", {"classes": "3"}, "spec.classes: must be an integer", False),
+    ("per_class_a_float", {"per_class": 2.5}, "spec.per_class: must be an integer", False),
+    ("input_dim_a_bool", {"input_dim": True}, "spec.input_dim: must be an integer", False),
+    ("seed_a_string", {"seed": "0"}, "spec.seed: must be an integer", False),
+    ("negative_seed", {"seed": -1}, "spec.seed: must be >= 0", False),
+    *((f"{name}_separation", {"separation": value}, "spec." + SEPARATION_FINITE, True)
+      for name, value in NON_FINITE),
+    ("one_per_class", {"per_class": 1}, "spec.per_class: must be >= 2", True),
+]
 
 OUTCOMES = [
     # a diverging run names its client, round, epoch and batch; a non-finite
@@ -628,45 +779,22 @@ OUTCOMES = [
                                             batch_size=64, learning_rate=1e150),
             RUN, 0, [], RUN_OUTPUTS, (final_loss_is_finite_and_huge, True)),
     # mistakes only the config can fix exit 1 with one line naming the key
-    Outcome("output_dir_key_run", inputs(output_dir="elsewhere"), RUN, 1,
-            [CONFIG_ERROR + "unknown key 'output_dir'"]),
-    Outcome("output_dir_key_sweep", inputs(output_dir="elsewhere", grid=ONE_CELL), SWEEP, 1,
-            [CONFIG_ERROR + "unknown key 'output_dir'"]),
-    Outcome("tiny_alpha", inputs(alpha=1e-300), RUN, 1,
-            [CONFIG_ERROR + "alpha: must be >= 1e-05 (smaller can underflow every Dirichlet "
-                            "draw)"]),
-    Outcome("infinite_alpha", inputs(alpha=math.inf), RUN, 1,
-            [CONFIG_ERROR + "alpha: must be finite"]),
-    Outcome("infinite_learning_rate", inputs(learning_rate=math.inf), RUN, 1,
-            [CONFIG_ERROR + "learning_rate: must be finite"]),
-    Outcome("nan_alpha", inputs(alpha=math.nan), RUN, 1, [CONFIG_ERROR + "alpha: must be finite"]),
-    Outcome("single_sample_synthetic",
-            inputs({**CI, "seed": 3, "dataset": dataset(per_class=1)}, rounds=2, batch_size=8),
-            RUN, 1, [CONFIG_ERROR + "dataset.per_class: must be >= 2"]),
+    # and write nothing
+    *(Outcome(f"output_dir_key_{command}", inputs(output_dir="elsewhere", grid=grid), argv, 1,
+              [CONFIG_ERROR + "unknown key 'output_dir'"])
+      for command, argv, grid in [("run", RUN, None), ("sweep", SWEEP, ONE_CELL)]),
+    *(Outcome(id, inputs(**keys), RUN, 1, [CONFIG_ERROR + message], edit=(SMOKE, keys))
+      for id, keys, message in OWNED_RULES),
+    *(Outcome(id, {"config.json": text}, RUN, 1, [CONFIG_ERROR + message])
+      for id, text, message in PARSER_RULES),
     *(Outcome(f"{name}_{kind}", inputs(
-        {**CI, "seed": 3, "dataset": dataset() if kind == "synthetic" else csv_dataset(4, 3)},
-        rounds=1, **{"test_fraction": 0.2, **override},
-        data=synthetic_csv(3, 20, 4, seed=1) if kind == "csv" else None),
-        RUN, 1, [CONFIG_ERROR + message])
+        {**SPLIT_BASE, "dataset": dataset() if kind == "synthetic" else csv_dataset(4, 3)},
+        data=synthetic_csv(3, 20, 4, seed=1) if kind == "csv" else None, **override),
+        RUN, 1, [CONFIG_ERROR + message],
+        edit=(SPLIT_BASE, override) if kind == "synthetic" else ())
       for name, (override, message) in SPLIT_MISTAKES.items() for kind in ("synthetic", "csv")),
-    Outcome("config_missing_dataset", {"config.json": json.dumps({"seed": 1})}, RUN, 1,
-            [CONFIG_ERROR + "dataset: is required"]),
     Outcome("config_file_missing", {}, RUN, 1,
             [CONFIG_ERROR + "config file not found: config.json"]),
-    # an integer beyond float range fails as its float spelling (1e400) does
-    Outcome("oversized_learning_rate", inputs(learning_rate=BIG), RUN, 1,
-            [CONFIG_ERROR + "learning_rate: must be finite"]),
-    Outcome("oversized_policy_rate", inputs(policy={"kind": "top_k", "rate": BIG}), RUN, 1,
-            [CONFIG_ERROR + "policy.rate: must be in (0, 1]"]),
-    Outcome("oversized_separation", inputs(dataset=dataset(separation=BIG)), RUN, 1,
-            [CONFIG_ERROR + "dataset.separation: must be finite"]),
-    Outcome("oversized_per_class", inputs(dataset=dataset(per_class=BIG)), RUN, 1,
-            [CONFIG_ERROR + "dataset.per_class: must be an integer"]),
-    Outcome("per_class_past_the_int_digit_limit", {"config.json": json.dumps(SMOKE).replace(
-        '"per_class": 20', '"per_class": ' + "9" * 5000)},
-            RUN, 1, [CONFIG_ERROR + "dataset.per_class: must be an integer"]),
-    Outcome("oversized_spec_separation", {"spec.json": json.dumps({"separation": BIG})}, GEN, 1,
-            [CONFIG_ERROR + "spec.separation: must be finite"]),
     # input a run can load: a one-sample class stays in train
     Outcome("rare_class_csv", inputs(
         {"seed": 3, "dataset": csv_dataset(4, 3, normalize=True), "rounds": 2, "batch_size": 8,
@@ -687,10 +815,9 @@ OUTCOMES = [
     *(Outcome(f"{name}_{command}", {**files, "grid.json": MISTAKE_GRID},
               RUN if command == "run" else SWEEP + ["--jobs", "3"], code, [line])
       for name, (files, code, line) in INPUT_MISTAKES.items() for command in ("run", "sweep")),
-    Outcome("ci_csv_split_run", CI_SPLIT, RUN, 1,
-            [CONFIG_ERROR + "clients: must be <= 8, the training rows the split leaves"]),
-    Outcome("ci_csv_split_sweep", CI_SPLIT, SWEEP + ["--jobs", "2"], 1,
-            [CONFIG_ERROR + "clients: must be <= 8, the training rows the split leaves"]),
+    *(Outcome(f"ci_csv_split_{command}", CI_SPLIT, argv, 1,
+              [CONFIG_ERROR + "clients: must be <= 8, the training rows the split leaves"])
+      for command, argv in [("run", RUN), ("sweep", SWEEP + ["--jobs", "2"])]),
     # grid mistakes exit 1 and write nothing
     *(Outcome(f"grid_{name}", inputs(grid=grid), SWEEP, 1, [CONFIG_ERROR + message])
       for name, grid, message in [
@@ -705,27 +832,30 @@ OUTCOMES = [
           ("unknown_policy_kind", {"alpha": [0.5], "rate": [0.3], "policy": ["top_k", "nope"]},
            "grid.policy: unknown kind 'nope'"),
           ("empty_alpha_list", {"alpha": [], "rate": [0.3]},
-           "grid: alpha, policy and rate lists must be nonempty")]),
+           "grid: alpha, policy and rate lists must be nonempty"),
+          ("unknown_key", {"alpha": [0.5], "rate": [0.3], "rates": [0.2]},
+           "unknown key 'rates' in grid"),
+          ("not_an_object", [0.5], "grid: must be a JSON object")]),
     Outcome("grid_file_missing", inputs(), SWEEP, 1,
             [CONFIG_ERROR + "grid file not found: grid.json"]),
-    Outcome("grid_invalid_json", {**inputs(), "grid.json": "{not json"}, SWEEP, 1,
-            [CONFIG_ERROR + "grid.json: " + INVALID_JSON]),
+    *(Outcome(f"grid_{name}", {**inputs(), "grid.json": text}, SWEEP, 1,
+              [CONFIG_ERROR + "grid.json: " + message])
+      for name, text, message in [
+          ("invalid_json", "{not json", INVALID_JSON),
+          ("in_utf16", json.dumps(ONE_CELL).encode("utf-16"), NOT_UTF8),
+          ("duplicate_key", '{"alpha": [0.5], "rate": [0.3], "rate": [0.2]}',
+           "duplicate key 'rate'")]),
     # a cell that fails is a failed row; the others still run
     Outcome("sweep_partial_failure",
             inputs(grid={"alpha": [0.5, 1e-7], "rate": [0.3, 1.5], "policy": ["top_k"]}),
-            SWEEP, 3, ["cell alpha=0.5 policy=top_k rate=1.5 failed: policy.rate: must be in "
-                       "(0, 1]",
-                       "cell alpha=1e-07 policy=top_k rate=0.3 failed: alpha: must be >= 1e-05 "
-                       "(smaller can underflow every Dirichlet draw)",
-                       "cell alpha=1e-07 policy=top_k rate=1.5 failed: policy.rate: must be in "
-                       "(0, 1]"], sweep_outputs(1),
-            (sweep_status, ["ok", "failed", "failed", "failed"])),
-    Outcome("sweep_infinite_alpha_cell", inputs(grid={"alpha": [0.5, math.inf], "rate": [0.3]}),
-            SWEEP, 3, ["cell alpha=inf policy=top_k rate=0.3 failed: alpha: must be finite"],
-            sweep_outputs(1), (sweep_status, ["ok", "failed"])),
-    Outcome("sweep_oversized_alpha_cell", inputs(grid={"alpha": [0.5, BIG], "rate": [0.3]}),
-            SWEEP, 3, ["cell alpha=inf policy=top_k rate=0.3 failed: alpha: must be finite"],
-            sweep_outputs(1), (sweep_status, ["ok", "failed"])),
+            SWEEP, 3, ["cell alpha=0.5 policy=top_k rate=1.5 failed: " + RATE_RANGE,
+                       "cell alpha=1e-07 policy=top_k rate=0.3 failed: " + ALPHA_FLOOR,
+                       "cell alpha=1e-07 policy=top_k rate=1.5 failed: " + RATE_RANGE],
+            sweep_outputs(1), (sweep_status, ["ok", "failed", "failed", "failed"])),
+    *(Outcome(f"sweep_{name}_alpha_cell", inputs(grid={"alpha": [0.5, alpha], "rate": [0.3]}),
+              SWEEP, 3, ["cell alpha=inf policy=top_k rate=0.3 failed: " + ALPHA_FINITE],
+              sweep_outputs(1), (sweep_status, ["ok", "failed"]))
+      for name, alpha in [("infinite", math.inf), ("oversized", BIG)]),
     Outcome("sweep_all_cells_fail", inputs(
         {**CI, "seed": 3, "dataset": dataset(separation=1.0),
          "policy": {"kind": "top_k", "rate": 0.5}}, rounds=1, local_epochs=2, batch_size=8,
@@ -735,19 +865,18 @@ OUTCOMES = [
                    "parameters in round 0, epoch 1, batch 0"],
         sweep_outputs(0), (sweep_status, ["failed"])),
     # gen-data spec mistakes
-    *(Outcome(f"spec_{name}", {"spec.json": json.dumps(spec)}, GEN, 1,
-              [CONFIG_ERROR + message])
-      for name, spec, message in [
-          ("unknown_key", {"classses": 3}, "unknown key 'classses' in spec"),
-          ("classes_a_string", {"classes": "3"}, "spec.classes: must be an integer"),
-          ("per_class_a_float", {"per_class": 2.5}, "spec.per_class: must be an integer"),
-          ("input_dim_a_bool", {"input_dim": True}, "spec.input_dim: must be an integer"),
-          ("negative_seed", {"seed": -1}, "spec.seed: must be >= 0"),
-          ("infinite_separation", {"separation": math.inf}, "spec.separation: must be finite"),
-          ("one_per_class", {"per_class": 1}, "spec.per_class: must be >= 2")]),
+    *(Outcome(f"spec_{name}", {"spec.json": json.dumps(spec)}, GEN, 1, [CONFIG_ERROR + message],
+              edit=(None, {"spec": spec}) if owned else ())
+      for name, spec, message, owned in SPEC_RULES),
+    Outcome("oversized_spec_separation", {"spec.json": json.dumps({"separation": BIG})}, GEN, 1,
+            [CONFIG_ERROR + "spec." + SEPARATION_FINITE]),
     Outcome("spec_file_missing", {}, GEN, 1, [CONFIG_ERROR + "spec file not found: spec.json"]),
-    Outcome("spec_invalid_json", {"spec.json": "{not json"}, GEN, 1,
-            [CONFIG_ERROR + "spec.json: " + INVALID_JSON]),
+    *(Outcome(f"spec_{name}", {"spec.json": text}, GEN, 1, [CONFIG_ERROR + message])
+      for name, text, message in [
+          ("invalid_json", "{not json", "spec.json: " + INVALID_JSON),
+          ("in_utf16", json.dumps({"classes": 3}).encode("utf-16"), "spec.json: " + NOT_UTF8),
+          ("duplicate_key", '{"classes": 3, "classes": 4}', "spec.json: duplicate key 'classes'"),
+          ("not_an_object", "[]", "spec: must be an object")]),
     # command-line mistakes: argparse's usage line, then the error (exit 1)
     Outcome("run_without_config", {}, ["run"], 1,
             [RUN_USAGE, "fedsparse run: error: the following arguments are required: config"]),
@@ -814,6 +943,98 @@ def test_pinned_outcome(row, tmp_path, monkeypatch):
             assert reader(directory) == expected, action
     if not row.outputs:
         assert requested == []
+
+
+def section(key: str, value: dict) -> tuple:
+    """The type that owns section key of a config (a gen-data spec is the
+    section "spec") and its constructor's keyword arguments from the JSON
+    object value."""
+    if key in ("policy", "model"):
+        return {"policy": SparsityPolicy, "model": ModelConfig}[key], value
+    cls = CsvDataConfig if value.get("kind") == "csv" else SyntheticDataConfig
+    return cls, {name: v for name, v in value.items() if name != "kind"}
+
+
+def code_built(base: dict, keys: dict):
+    """parse_config_dict({**base, **keys}) built in code: dataclasses.replace
+    on the parsed base, each section in keys built by its type."""
+    sections = {}
+    for key, value in keys.items():
+        if isinstance(value, dict):
+            cls, kwargs = section(key, value)
+            sections[key] = cls(**kwargs)
+    return replace(parse_config_dict(base), **{**keys, **sections})
+
+
+def raises(message: str, call, *args, **kwargs) -> None:
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    assert str(info.value) == message
+
+
+TYPED = [row for row in OUTCOMES if row.edit]
+
+
+@pytest.mark.parametrize("row", TYPED, ids=[row.id for row in TYPED])
+def test_code_built_input_gives_the_row_message(row):
+    """The row's edit made in code raises the row's message. A rule of a
+    section type comes from its constructor, without the section prefix,
+    and from gen_synthetic, retained_count and cell_policy, which check
+    through that type; any other rule comes from dataclasses.replace on
+    the parsed base."""
+    message = row.stderr[0].removeprefix(CONFIG_ERROR)
+    base, keys = row.edit
+    for key, value in keys.items():
+        if not isinstance(value, dict):
+            continue
+        cls, kwargs = section(key, value)
+        try:
+            cls(**kwargs)
+        except ValueError as exc:
+            assert f"{key}.{exc}" == message
+            if cls is SyntheticDataConfig:
+                raises(str(exc), gen_synthetic, **{**asdict(SyntheticDataConfig()), **kwargs},
+                       rng_seed=0)
+            param = POLICY_PARAM.get(value.get("kind"))
+            if cls is SparsityPolicy and param and set(value) == {"kind", param}:
+                raises(message, cell_policy, value["kind"], value[param])
+                if param == "rate":
+                    raises(str(exc), retained_count, value["rate"], 10)
+            return
+    with pytest.raises(ConfigError) as info:
+        code_built(base, keys)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("keys,class_sizes", [
+    # 3 classes of 30,000 rows leave 72,000 training rows, one for each of
+    # 65,535 clients, the most the FSU1 client id (a u16) names
+    pytest.param({"dataset": dataset(per_class=30_000), "clients": 65535}, None,
+                 id="clients_at_the_u16_id"),
+    pytest.param({"dataset": dataset(per_class=100), "clients": 240}, None,
+                 id="clients_at_240_training_rows"),
+    pytest.param({"rounds": 2 ** 32 - 1}, None, id="rounds_at_the_u32_round"),
+    pytest.param({"dataset": dataset(per_class=100), "test_fraction": 0.005}, None,
+                 id="test_fraction_at_one_test_row"),
+    # 4 * ((2**30 - 6) + 1 + 4) + 4 = 2**32 params, largest index 2**32 - 1
+    pytest.param({"model": {"hidden": [4]}, "dataset": dataset(input_dim=2 ** 30 - 6, classes=4)},
+                 None, id="model_at_the_u32_index"),
+    pytest.param({"alpha": MIN_ALPHA}, None, id="alpha_at_the_floor"),
+    # a loaded CSV set: one class of two rows gives the test row
+    pytest.param({"test_fraction": 0.999}, [1, 1, 2], id="one_class_of_two_rows"),
+    pytest.param({"dataset": csv_dataset(2, 2, normalize=True), "clients": 1,
+                  "test_fraction": 0.5}, [4], id="normalize_two_training_rows"),
+    pytest.param({"dataset": csv_dataset(2, 2), "clients": 1, "test_fraction": 0.5}, [2],
+                 id="one_training_row_unnormalized"),
+])
+def test_boundary_input_passes(keys, class_sizes):
+    """The passing side of a rule's boundary: SMOKE with keys replaced parses
+    to the config the same edit builds in code, and a loaded dataset of
+    class_sizes passes its split check."""
+    cfg = parse_config_dict({**SMOKE, **keys})
+    assert cfg == code_built(SMOKE, keys)
+    if class_sizes:
+        cfg.check_split(class_sizes)
 
 
 REPLAY = """\

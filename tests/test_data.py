@@ -82,14 +82,6 @@ class TestSynthetic:
             means.append(np.mean(accs))
         assert all(b >= a for a, b in zip(means, means[1:]))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gen_synthetic(1, 10, 4, 1.0, rng_seed=0)
-        with pytest.raises(ValueError):
-            gen_synthetic(2, 0, 4, 1.0, rng_seed=0)
-        with pytest.raises(ValueError):
-            gen_synthetic(2, 10, 0, 1.0, rng_seed=0)
-
 
 class TestCsv:
     def test_hand_written_file(self, tmp_path):

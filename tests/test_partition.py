@@ -190,8 +190,9 @@ class TestPartitioning:
             partition_dataset(np.array([0, 1]), 3, 0.5, rng_seed=0)
         with pytest.raises(ValueError):
             partition_dataset(balanced_labels(), 0, 0.5, rng_seed=0)
-        with pytest.raises(ValueError):
-            partition_dataset(balanced_labels(), 2, 0.0, rng_seed=0)
+        for alpha in (0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^alpha must be finite and > 0$"):
+                partition_dataset(balanced_labels(), 2, alpha, rng_seed=0)
 
     def test_tiny_alpha_stops_at_the_variate_cap(self):
         """Every Gamma draw underflows to 0 at alpha 1e-300; the redraws
